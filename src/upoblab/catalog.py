@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidBaseError, InvalidWitnessError, ShapeError
+from .errors import ConfigError, InvalidBaseError, InvalidWitnessError
 from .matrix import DEFAULT_TOL, Tolerance, as_matrix, kron_all
 from .product import (
     OperatorSet,
@@ -211,29 +211,24 @@ def lift_uuo(p: LiftParams) -> OperatorSet:
 
 
 def example_upuob_2x3(g: GoldenParams | None = None) -> OperatorSet:
-    """The 30-member set {xi_pm x U_{n,m}, eta_pm x U_s} on M_2,2 x M_3,3."""
-    g = g or GoldenParams()
-    xi = {"+": SIGMA_X, "-": np.array([[0, 1], [-1, 0]], dtype=complex)}
-    eta = {"+": I2, "-": SIGMA_Z}
-    weyl = {}
-    w3 = omega(3)
-    for n in range(1, 4):
-        for m in range(1, 4):
-            u = np.zeros((3, 3), dtype=complex)
-            for k in range(3):
-                u[(k + m) % 3, k] = w3 ** (k * n)
-            weyl[(n, m)] = u
-    members = []
-    for sign in "+-":
-        for (n, m), u in weyl.items():
-            members.append(ProductOperator((xi[sign], u), f"U_{n},{m}^{sign}"))
-    qutrit = qutrit_uuo_set(g)
-    for sign in "+-":
-        for s, base_member in enumerate(qutrit.members):
-            members.append(
-                ProductOperator((eta[sign], base_member.factors[0]), f"U_{s + 1}^{sign}")
-            )
-    return OperatorSet(((2, 2), (3, 3)), tuple(members))
+    """The 30-member set {xi_pm x U_{n,m}, eta_pm x U_s} on M_2,2 x M_3,3.
+
+    It is the q = 2 lift of the qutrit UUO set, with xi_+ = P, xi_- = WP,
+    eta_+ = I and eta_- = W; Weyl indices run 1..3, index 0 written as 3.
+    """
+    lift = {m.label: m for m in lift_uuo(LiftParams(2, qutrit_uuo_set(g))).members}
+    signs = list(enumerate("+-"))
+    weyl = [
+        lift[f"U_{n % 3},{m % 3}^({s},1)"].relabel(f"U_{n},{m}^{sign}")
+        for s, sign in signs
+        for n, m in itertools.product((1, 2, 3), repeat=2)
+    ]
+    uuo = [
+        lift[f"U_{t}^({s})"].relabel(f"U_{t}^{sign}")
+        for s, sign in signs
+        for t in range(1, 7)
+    ]
+    return OperatorSet(((2, 2), (3, 3)), tuple(weyl + uuo))
 
 
 def antisym_witness_2x3(w1: complex, w4: complex, x) -> ProductOperator:

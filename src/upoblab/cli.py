@@ -129,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--tol", type=float, default=1e-9, help="absolute tolerance")
         p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker count (the search currently runs sequentially)")
 
     p = sub.add_parser("construct", help="emit a catalog operator set as JSON")
     common(p)

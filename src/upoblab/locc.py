@@ -259,6 +259,19 @@ def _pairwise_orthogonal(vectors, tol: Tolerance) -> bool:
     return True
 
 
+def _certified_qutrit_upb(states: list[StateVector], tol: Tolerance) -> bool:
+    """The states embed as five product states in C^3 x C^3 whose sides are
+    triple-wise independent and which form an unextendible set."""
+    sides = [product_sides(s, tol) for s in qutrit_embed(states, tol)]
+    if len(sides) != 5 or any(sd is None for sd in sides):
+        return False
+    return (
+        triple_independence_check([a for a, _ in sides], tol)
+        and triple_independence_check([b for _, b in sides], tol)
+        and extendibility_search(product_vector_set(sides), tol).status == UNEXTENDIBLE
+    )
+
+
 def _protocol_states(op_set: OperatorSet | None, tol: Tolerance):
     from .catalog import u2_strong_upuob
 
@@ -325,18 +338,7 @@ def run_three_ebit_protocol(
     )
 
     # Step 3: the residual hypotheses must reduce to a certified qutrit UPB.
-    embedded = qutrit_embed(nobranch2, tol)
-    sides = [product_sides(s, tol) for s in embedded]
-    upb_ok = (
-        len(embedded) == 5
-        and all(sd is not None for sd in sides)
-        and triple_independence_check([sd[0] for sd in sides], tol)
-        and triple_independence_check([sd[1] for sd in sides], tol)
-        and extendibility_search(
-            product_vector_set([(sd[0], sd[1]) for sd in sides]), tol
-        ).status
-        == UNEXTENDIBLE
-    )
+    upb_ok = _certified_qutrit_upb(nobranch2, tol)
     trace.ledger.append("qutrit-UPB discrimination subroutine: +1 ebit")
     trace.ebits_consumed += 1
     trace.terminal_disposition["M_2_bar"] = (
@@ -397,18 +399,7 @@ def genuine_nonlocality_evidence(
         if p1 <= 0.5 and p2 <= 0.5:
             residual.append(s)
     try:
-        embedded = qutrit_embed(residual, tol) if residual else []
-        emb_sides = [product_sides(s, tol) for s in embedded]
-        upb_ok = (
-            len(embedded) == 5
-            and all(sd is not None for sd in emb_sides)
-            and triple_independence_check([sd[0] for sd in emb_sides], tol)
-            and triple_independence_check([sd[1] for sd in emb_sides], tol)
-            and extendibility_search(
-                product_vector_set([(sd[0], sd[1]) for sd in emb_sides]), tol
-            ).status
-            == UNEXTENDIBLE
-        )
+        upb_ok = _certified_qutrit_upb(residual, tol)
         detail = f"{len(residual)} residual states, UPB certified: {upb_ok}"
     except EmbeddingError as exc:
         upb_ok = False

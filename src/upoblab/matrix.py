@@ -95,16 +95,18 @@ def _stack_vectorized(mats: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([m.ravel() for m in mats])
 
 
-def numeric_rank(mats: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> int:
-    """Dimension of the span, via singular values of the stacked vectorizations.
-
-    A singular value counts when it exceeds ``tol.eps`` times the largest one.
-    """
-    stacked = _stack_vectorized(mats)
-    s = np.linalg.svd(stacked, compute_uv=False)
+def row_rank(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Rank of a 2-D array: the singular values above ``tol.eps`` times the
+    largest one."""
+    s = np.linalg.svd(rows, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.eps * s[0]))
+
+
+def numeric_rank(mats: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> int:
+    """Dimension of the span: the ``row_rank`` of the stacked vectorizations."""
+    return row_rank(_stack_vectorized(mats), tol)
 
 
 def is_unitary(a, tol: Tolerance = DEFAULT_TOL) -> bool:

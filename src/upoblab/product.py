@@ -8,7 +8,7 @@ handled uniformly as sets with column-vector party shapes (d, 1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -71,6 +71,10 @@ class ProductOperator:
     def relabel(self, label: str) -> "ProductOperator":
         return ProductOperator(self.factors, label)
 
+    def to_json(self) -> dict:
+        factors = [matrix_to_json(f) for f in self.factors]
+        return {"label": self.label, "factors": factors}
+
 
 @dataclass(frozen=True)
 class OperatorSet:
@@ -114,10 +118,7 @@ class OperatorSet:
     def to_json(self) -> dict:
         return {
             "shape": [[r, c] for r, c in self.shape],
-            "members": [
-                {"label": m.label, "factors": [matrix_to_json(f) for f in m.factors]}
-                for m in self.members
-            ],
+            "members": [m.to_json() for m in self.members],
         }
 
     @staticmethod

@@ -1,18 +1,24 @@
 """Extendibility certification and UPOB / UPUOB classification.
 
-The partition search assigns each member to one party and prunes a branch as
-soon as some party's assigned factors span that party's whole local operator
-space; a surviving complete assignment yields an explicit product-operator
-witness from the per-party complements.
+A product operator W = (x)_p W_p is orthogonal to a member exactly when some
+party's factor W_p is orthogonal to that member's factor.  So a set is
+extendible iff one hyperplane per party, each spanned by that party's
+distinct factor directions, can be chosen so that together they hold every
+member (the partition lemma of Bennett et al., PRL 82, 5385 (1999)).  The
+search lists those hyperplanes as member bitmasks and covers the set with
+them; the witness factors are the per-party complements of the cover.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoWitnessError, ShapeError
+from .errors import ConfigError, NoWitnessError, ShapeError, SingularError
 from .matrix import (
     DEFAULT_TOL,
     Tolerance,
@@ -20,8 +26,8 @@ from .matrix import (
     hs_inner,
     is_unitary,
     nearest_unitary,
+    row_rank,
 )
-from .errors import SingularError
 from .product import (
     OperatorSet,
     ProductOperator,
@@ -38,6 +44,9 @@ UNEXTENDIBLE = "unextendible"
 EXTENDIBLE = "extendible"
 UNKNOWN = "unknown"
 
+#: Candidate direction subsets per batched SVD; bounds the enumeration's memory.
+_CHUNK = 2048
+
 
 @dataclass
 class ExtendibilityVerdict:
@@ -48,18 +57,13 @@ class ExtendibilityVerdict:
     budget: int = DEFAULT_BUDGET
 
     def to_json(self) -> dict:
-        from .matrix import matrix_to_json
-
         out = {
             "status": self.status,
             "nodes_explored": self.nodes_explored,
             "budget": self.budget,
         }
         if self.witness is not None:
-            out["witness"] = {
-                "label": self.witness.label,
-                "factors": [matrix_to_json(f) for f in self.witness.factors],
-            }
+            out["witness"] = self.witness.to_json()
         if self.partition is not None:
             out["partition"] = list(self.partition)
         return out
@@ -75,8 +79,6 @@ class Classification:
     verdict_labels: frozenset[str]
 
     def to_json(self) -> dict:
-        from .matrix import matrix_to_json
-
         out = {
             "is_product_set": self.is_product_set,
             "is_orthonormal": self.is_orthonormal,
@@ -85,10 +87,7 @@ class Classification:
             "verdict_labels": sorted(self.verdict_labels),
         }
         if self.unitary_witness is not None:
-            out["unitary_witness"] = {
-                "label": self.unitary_witness.label,
-                "factors": [matrix_to_json(f) for f in self.unitary_witness.factors],
-            }
+            out["unitary_witness"] = self.unitary_witness.to_json()
         return out
 
 
@@ -97,56 +96,45 @@ class _BudgetExhausted(Exception):
 
 
 def _direction_table(op_set: OperatorSet):
-    """Per member and party: unit vectorized factor plus a phase-canonical id.
-
-    Members sharing a factor direction (up to a complex scalar) get the same
-    id, so repeated factors skip the Gram-Schmidt projection entirely.
-    """
-    n = len(op_set)
-    vecs = [[None] * op_set.n_parties for _ in range(n)]
-    ids = [[0] * op_set.n_parties for _ in range(n)]
+    """Per party: the distinct unit factor directions, one row each, and every
+    member's index into them.  Factors equal up to a complex scalar share a
+    direction: each is rotated so its largest entry is real and positive, then
+    rounded."""
+    table = []
     for p in range(op_set.n_parties):
-        key_to_id: dict = {}
-        for j, m in enumerate(op_set.members):
-            v = m.factors[p].ravel().astype(complex)
-            v = v / np.linalg.norm(v)
-            pivot = np.argmax(np.abs(v))
-            canon = v * (abs(v[pivot]) / v[pivot])
-            key = tuple(np.round(canon, 10))
-            ids[j][p] = key_to_id.setdefault(key, len(key_to_id))
-            vecs[j][p] = v
-    return vecs, ids
+        vecs = np.stack([m.factors[p].ravel() for m in op_set.members])
+        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        pivots = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
+        # Adding 0.0 folds -0.0 into 0.0 so equal keys have equal bytes.
+        keys = np.round(vecs * (np.abs(pivots) / pivots)[:, None], 10) + 0.0
+        first: dict = {}
+        reps = [first.setdefault(k.tobytes(), j) for j, k in enumerate(keys)]
+        reps, ids = np.unique(reps, return_inverse=True)
+        table.append((vecs[reps], ids))
+    return table
 
 
-def _greedy_member_order(op_set: OperatorSet, vecs, tol: Tolerance) -> list[int]:
-    """Members sorted by decreasing rank contribution across all parties."""
-    n = len(op_set)
-    n_parties = op_set.n_parties
-    bases = [[] for _ in range(n_parties)]
-    remaining = list(range(n))
-    order = []
-    while remaining:
-        best, best_score = remaining[0], -1
-        for j in remaining:
-            score = 0
-            for p in range(n_parties):
-                v = vecs[j][p].copy()
-                for b in bases[p]:
-                    v -= np.vdot(b, v) * b
-                if np.linalg.norm(v) > tol.eps:
-                    score += 1
-            if score > best_score:
-                best, best_score = j, score
-        order.append(best)
-        remaining.remove(best)
-        for p in range(n_parties):
-            v = vecs[best][p].copy()
-            for b in bases[p]:
-                v -= np.vdot(b, v) * b
-            nrm = np.linalg.norm(v)
-            if nrm > tol.eps:
-                bases[p].append(v / nrm)
-    return order
+def _greedy_member_order(table) -> list[int]:
+    """Members by increasing summed multiplicity of their factor directions:
+    one with rare directions lies in few hyperplanes, so it is branched on first."""
+    score = sum(np.bincount(ids)[ids] for _, ids in table)
+    return np.argsort(score, kind="stable").tolist()
+
+
+def _hyperplanes(dirs: np.ndarray, tol: Tolerance) -> list[list[bool]]:
+    """The distinct hyperplanes spanned by D-1 independent rows of ``dirs``,
+    each as the list of flags of the rows it contains."""
+    k, dim = dirs.shape
+    if dim == 1:
+        return [[False] * k]
+    found: dict = {}
+    subsets = itertools.combinations(range(k), dim - 1)
+    while chunk := list(itertools.islice(subsets, _CHUNK)):
+        _, s, vh = np.linalg.svd(dirs[np.array(chunk)])
+        normals = vh[s[:, -1] > tol.eps * s[:, 0], -1]
+        for row in np.abs(normals.conj() @ dirs.T) <= tol.eps:
+            found.setdefault(row.tobytes(), row)
+    return np.array(list(found.values())).tolist()
 
 
 def extendibility_search(
@@ -154,105 +142,128 @@ def extendibility_search(
     tol: Tolerance = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
 ) -> ExtendibilityVerdict:
-    """Lemma-style partition search with span-dimension pruning.
+    """Hyperplane-cover search over the parties' factor directions.
 
-    Depth-first over assignments of members to parties; a branch dies as soon
-    as a party's assigned span reaches its full local dimension rows*cols.
-    Exhaustion certifies unextendibility; a surviving complete assignment
-    yields a witness; hitting the node budget yields an unknown verdict.
+    All parties but one list their hyperplanes as member bitmasks.  The first
+    uncovered member is covered by a hyperplane of an unfixed listed party or
+    left to the last party, whose leftover members must span less than its
+    local space (a rank check); recursion depth is at most the party count.
+    Listed direction subsets and tried hyperplanes count against the budget.
     """
     if budget <= 0:
         raise ConfigError(f"budget must be positive, got {budget}")
     if len(op_set) == 0:
         raise ConfigError("cannot search an empty set")
 
+    n = len(op_set)
     n_parties = op_set.n_parties
-    full_dims = [r * c for r, c in op_set.shape]
-    vecs, ids = _direction_table(op_set)
-    order = _greedy_member_order(op_set, vecs, tol)
+    dims = [r * c for r, c in op_set.shape]
+    table = _direction_table(op_set)
+    order = _greedy_member_order(table)
 
-    bases: list[list[np.ndarray]] = [[] for _ in range(n_parties)]
-    in_span: list[dict] = [dict() for _ in range(n_parties)]
-    assignment = [0] * len(op_set)
-    nodes = 0
-    eps = tol.eps
-    # A party's span depends only on which direction ids it holds, so a
-    # (depth, per-party id set) state that already failed can be cut.
-    failed_states: set = set()
+    def extendible(cover, rest: int, nodes: int) -> ExtendibilityVerdict:
+        """Members go to the first party in ``cover`` whose hyperplane holds
+        them, all others to party ``rest``."""
+        partition = tuple(
+            next((p for p, h in cover if h >> bit & 1), rest)
+            for bit in np.argsort(order).tolist()
+        )
+        witness = extract_witness(partition, op_set, tol)
+        return ExtendibilityVerdict(EXTENDIBLE, witness, partition, nodes, budget)
 
-    def try_assign(j: int, p: int):
-        """Returns an undo token on success, None when the branch is pruned."""
-        did = ids[j][p]
-        span = in_span[p]
-        if did in span:
-            span[did] += 1
-            return (p, did, False)
-        v = vecs[j][p]
-        basis = bases[p]
-        if basis:
-            v = v.copy()
-            for b in basis:
-                v -= np.vdot(b, v) * b
-            nrm = np.linalg.norm(v)
-        else:
-            nrm = 1.0
-        if nrm > eps:
-            if len(basis) + 1 >= full_dims[p]:
-                return None
-            basis.append(v / nrm)
-            span[did] = 1
-            return (p, did, True)
-        span[did] = 1
-        return (p, did, False)
+    for p, (dirs, _) in enumerate(table):
+        if row_rank(dirs, tol) < dims[p]:
+            return extendible((), p, 0)
 
-    def undo(token):
-        p, did, added_basis = token
-        in_span[p][did] -= 1
-        if in_span[p][did] == 0:
-            del in_span[p][did]
-        if added_basis:
-            bases[p].pop()
+    # Member bit b stands for member order[b], so the lowest uncovered bit is
+    # the next member to branch on.  dir_members[p][d]: members whose factor
+    # at party p has direction d.
+    dir_of = [ids[order].tolist() for _, ids in table]
+    dir_members = [[0] * len(dirs) for dirs, _ in table]
+    for p in range(n_parties):
+        for bit, d in enumerate(dir_of[p]):
+            dir_members[p][d] |= 1 << bit
 
-    def dfs(depth: int) -> bool:
+    # The party with the most candidate hyperplanes, ``last``, is decided by a
+    # rank check.  Its hyperplanes are listed, only to bound its cover, when
+    # that at most doubles the listing work.
+    counts = [math.comb(len(dirs), d - 1) for (dirs, _), d in zip(table, dims)]
+    last = max(range(n_parties), key=counts.__getitem__)
+    branched = [p for p in range(n_parties) if p != last]
+    listed = list(branched)
+    if counts[last] <= sum(counts[p] for p in branched):
+        listed.append(last)
+    nodes = sum(counts[p] for p in listed)
+    unknown = ExtendibilityVerdict(UNKNOWN, nodes_explored=budget, budget=budget)
+    if nodes >= budget:
+        return unknown
+
+    containing = [[[] for _ in dirs] for dirs, _ in table]
+    best = [n] * n_parties
+    for p in listed:
+        best[p] = 0
+        for row in _hyperplanes(table[p][0], tol):
+            hits = [d for d, inside in enumerate(row) if inside]
+            # Each member has one direction per party, so the masks are disjoint.
+            members = sum(dir_members[p][d] for d in hits)
+            best[p] = max(best[p], members.bit_count())
+            for d in hits:
+                containing[p][d].append(members)
+
+    last_dirs, last_members, last_of = table[last][0], dir_members[last], dir_of[last]
+    cover: list = []
+
+    @functools.cache
+    def rank(held: int) -> int:
+        """Rank of the last party's directions in bitmask ``held``."""
+        idx = [d for d in range(len(last_dirs)) if held >> d & 1]
+        return row_rank(last_dirs[idx], tol)
+
+    def search(todo: int, free: tuple, held: int, tried: int) -> bool:
+        """Cover ``todo`` with one hyperplane per party in ``free`` and one of
+        the last party holding its directions ``held``.  Hyperplanes holding
+        a member of ``tried`` were already tried under weaker constraints."""
         nonlocal nodes
-        if depth == len(order):
-            return True
-        key = (depth, tuple(frozenset(in_span[p]) for p in range(n_parties)))
-        if key in failed_states:
+        if todo.bit_count() > sum(best[p] for p in free) + best[last]:
             return False
-        j = order[depth]
-        parties = sorted(range(n_parties), key=lambda p: full_dims[p] - len(bases[p]))
-        for p in parties:
-            nodes += 1
-            if nodes >= budget:
-                raise _BudgetExhausted
-            token = try_assign(j, p)
-            if token is None:
-                continue
-            assignment[j] = p
-            if dfs(depth + 1):
-                return True
-            undo(token)
-        failed_states.add(key)
-        return False
+        if not free:
+            while todo:
+                d = last_of[(todo & -todo).bit_length() - 1]
+                held |= 1 << d
+                todo &= ~last_members[d]
+            return rank(held) < dims[last]
+        while todo:
+            bit = (todo & -todo).bit_length() - 1
+            d = last_of[bit]
+            grown = rank(held | 1 << d)
+            if grown > rank(held):
+                # Either a free party covers this member, or the last party
+                # does and its directions grow.
+                for p in free:
+                    rest = tuple(q for q in free if q != p)
+                    for h in containing[p][dir_of[p][bit]]:
+                        if h & tried:
+                            continue
+                        nodes += 1
+                        if nodes >= budget:
+                            raise _BudgetExhausted
+                        cover.append((p, h))
+                        if search(todo & ~h, rest, held, tried):
+                            return True
+                        cover.pop()
+                if grown == dims[last]:
+                    return False
+                tried |= 1 << bit
+            held |= 1 << d
+            todo &= ~last_members[d]
+        return True
 
     try:
-        found = dfs(0)
+        if search((1 << n) - 1, tuple(branched), 0, 0):
+            return extendible(cover, last, nodes)
     except _BudgetExhausted:
-        return ExtendibilityVerdict(UNKNOWN, nodes_explored=budget, budget=budget)
-
-    if not found:
-        return ExtendibilityVerdict(UNEXTENDIBLE, nodes_explored=nodes, budget=budget)
-
-    partition = tuple(assignment)
-    witness = extract_witness(partition, op_set, tol)
-    return ExtendibilityVerdict(
-        EXTENDIBLE,
-        witness=witness,
-        partition=partition,
-        nodes_explored=nodes,
-        budget=budget,
-    )
+        return unknown
+    return ExtendibilityVerdict(UNEXTENDIBLE, nodes_explored=nodes, budget=budget)
 
 
 def extract_witness(
@@ -302,7 +313,6 @@ def _product_factorization(vec: np.ndarray, shape, iters: int = 40):
     """Best product (rank-one across parties) approximation of a vectorized
     operator, by alternating least squares on the party-blocked tensor."""
     dims = [r * c for r, c in shape]
-    tensor = vec
     n = len(dims)
     if n == 1:
         return [vec.copy()]

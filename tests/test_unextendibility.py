@@ -1,4 +1,4 @@
-"""Tests for the partition search, witnesses, and classification."""
+"""Tests for the hyperplane-cover search, witnesses, and classification."""
 
 import itertools
 
@@ -9,6 +9,7 @@ from upoblab.catalog import (
     example1_upb,
     example1_upob,
     example_upuob_2x3,
+    nqubit_strong_upuob,
     u2_strong_upuob,
 )
 from upoblab.errors import ConfigError, NoWitnessError, ShapeError
@@ -161,6 +162,117 @@ class TestOracleAgreement:
             )
             s = OperatorSet(shape, members)
             assert extendibility_search(s).status == exhaustive_two_party_verdict(s)
+
+
+def exhaustive_three_party_verdict(op_set, tol=Tolerance()):
+    """Brute force over all 3^n member-to-party assignments, from the rank of
+    every member subset at every party; independent oracle."""
+    n = len(op_set)
+    full = [r * c for r, c in op_set.shape]
+    ranks = [
+        [0]
+        + [
+            numeric_rank(
+                [op_set.members[j].factors[p] for j in range(n) if mask >> j & 1], tol
+            )
+            for mask in range(1, 1 << n)
+        ]
+        for p in range(3)
+    ]
+    everyone = (1 << n) - 1
+    for first in range(1 << n):
+        if ranks[0][first] >= full[0]:
+            continue
+        rest = everyone ^ first
+        second = rest
+        while True:
+            if ranks[1][second] < full[1] and ranks[2][rest ^ second] < full[2]:
+                return EXTENDIBLE
+            if second == 0:
+                break
+            second = (second - 1) & rest
+    return UNEXTENDIBLE
+
+
+class TestThreePartyOracle:
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            ((2, 2), (2, 2), (2, 2)),
+            ((2, 1), (3, 1), (2, 2)),
+            ((2, 1), (2, 1), (2, 1)),
+        ],
+        ids=["2x2^3", "mixed", "qubit-vectors"],
+    )
+    def test_pooled_sets_match_exhaustive(self, shape):
+        # Half of the factors come from a pool of three per party, so
+        # directions repeat.  Up to 9 generic members always fit in (2x2)^3;
+        # the smaller parties make both verdicts occur.
+        rng = np.random.default_rng(0x3BA)
+
+        def gaussian(r, c):
+            return rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+
+        verdicts = {EXTENDIBLE: 0, UNEXTENDIBLE: 0}
+        for _ in range(60):
+            n = int(rng.integers(3, 10))
+            pools = [[gaussian(r, c) for _ in range(3)] for r, c in shape]
+            members = tuple(
+                ProductOperator(
+                    tuple(
+                        pools[p][rng.integers(3)] * (0.5 + 1j)
+                        if rng.integers(2)
+                        else gaussian(r, c)
+                        for p, (r, c) in enumerate(shape)
+                    ),
+                    f"m_{j}",
+                )
+                for j in range(n)
+            )
+            s = OperatorSet(shape, members)
+            v = extendibility_search(s)
+            want = exhaustive_three_party_verdict(s)
+            verdicts[want] += 1
+            assert v.status == want
+            if v.status == EXTENDIBLE:
+                assert verify_witness(v.witness, s)
+        if shape[0] == (2, 1):
+            assert min(verdicts.values()) > 0
+
+
+class TestNQubitFamily:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_unextendible(self, n):
+        v = extendibility_search(nqubit_strong_upuob(n))
+        assert v.status == UNEXTENDIBLE
+
+    def test_leave_one_out_extendible(self):
+        s = nqubit_strong_upuob(4)
+        for label in (s.members[0].label, s.members[100].label):
+            v = extendibility_search(drop(s, label))
+            assert v.status == EXTENDIBLE
+            assert verify_witness(v.witness, drop(s, label))
+
+
+class TestHyperplaneBudget:
+    def test_two_large_parties_unknown(self):
+        # Two 9-dimensional parties with 40 distinct directions each have
+        # C(40, 8) candidate hyperplanes apiece; the budget stops the listing
+        # before any of them is built.
+        rng = np.random.default_rng(0xB16)
+        members = tuple(
+            ProductOperator(
+                tuple(
+                    rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                    for _ in range(2)
+                ),
+                f"m_{j}",
+            )
+            for j in range(40)
+        )
+        v = extendibility_search(OperatorSet(((3, 3), (3, 3)), members), budget=10_000)
+        assert v.status == UNKNOWN
+        assert v.nodes_explored == 10_000
 
 
 class TestWitness:
