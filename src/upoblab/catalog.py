@@ -19,6 +19,7 @@ from .product import (
     OperatorSet,
     ProductOperator,
     check_orthonormal,
+    product_vector_set,
     row_major_index_set,
     upb_to_upob,
 )
@@ -156,10 +157,8 @@ def weyl_heisenberg(d: int) -> OperatorSet:
     members, labels = [], []
     for n in range(d):
         for m in range(d):
-            u = np.zeros((d, d), dtype=complex)
-            for k in range(d):
-                u[(k + m) % d, k] = w ** (k * n)
-            members.append(u)
+            diag = np.diag([w ** (k * n) for k in range(d)])
+            members.append(np.roll(diag, m, axis=0))
             labels.append(f"U_{n},{m}")
     return _single_party(members, d, labels)
 
@@ -176,10 +175,7 @@ def clock_matrix(q: int) -> np.ndarray:
 
 def shift_matrix(q: int) -> np.ndarray:
     """Cyclic shift P_q with P|k> = |k-1 mod q>."""
-    p = np.zeros((q, q), dtype=complex)
-    for k in range(q):
-        p[k, (k + 1) % q] = 1.0
-    return p
+    return np.roll(np.eye(q, dtype=complex), 1, axis=1)
 
 
 def lift_uuo(p: LiftParams) -> OperatorSet:
@@ -298,13 +294,10 @@ def tensor_combine(
     if sorted(seen) != list(range(n_in)) or any(len(g) == 0 for g in regroup):
         raise ConfigError(f"regroup must partition the {n_in} input parties")
     in_shapes = list(a.shape) + list(b.shape)
-    out_shape = []
-    for group in regroup:
-        r = c = 1
-        for i in group:
-            r *= in_shapes[i][0]
-            c *= in_shapes[i][1]
-        out_shape.append((r, c))
+    out_shape = [
+        tuple(math.prod(in_shapes[i][k] for i in group) for k in (0, 1))
+        for group in regroup
+    ]
     members = []
     for ma in a.members:
         for mb in b.members:
@@ -319,8 +312,6 @@ def tensor_combine(
 def construct_by_name(name: str, base: str | None = None) -> OperatorSet:
     """Catalog lookup used by the CLI: u2 | nqubit:n | qutrit-uuo | weyl:d |
     lift:q | example2 | example1-upb | example1-upob."""
-    from .product import product_vector_set
-
     if name == "u2":
         return u2_strong_upuob()
     if name.startswith("nqubit:"):

@@ -8,6 +8,8 @@ charged one ebit after its reduction is certified.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -111,9 +113,7 @@ def mes(d: int) -> StateVector:
     """The d-level maximally entangled state (1/sqrt(d)) sum_j |j,j>."""
     if d < 2:
         raise ConfigError(f"mes needs d >= 2, got {d}")
-    amp = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        amp[j * d + j] = 1.0 / math.sqrt(d)
+    amp = np.eye(d, dtype=complex).ravel() / math.sqrt(d)
     return StateVector(amp, (d, d), f"psi_{d}")
 
 
@@ -202,8 +202,6 @@ def triple_independence_check(vectors, tol: Tolerance = DEFAULT_TOL) -> bool:
     if len(vectors) != 5:
         raise ConfigError(f"expected exactly 5 vectors, got {len(vectors)}")
     cols = [np.asarray(v, dtype=complex).reshape(-1, 1) for v in vectors]
-    import itertools
-
     for triple in itertools.combinations(cols, 3):
         if numeric_rank(list(triple), tol) != 3:
             return False
@@ -227,18 +225,13 @@ def measurement_branch(
     eig, vec = np.linalg.eigh(effect.matrix)
     sqrt_e = (vec * np.sqrt(np.clip(eig, 0.0, None))) @ vec.conj().T
     ops[k] = effect.matrix
-    full = ops[0]
-    for o in ops[1:]:
-        full = np.kron(full, o)
+    full = functools.reduce(np.kron, ops)
     prob = float(np.real(np.vdot(state.amplitudes, full @ state.amplitudes)))
     prob = min(max(prob, 0.0), 1.0)
     if prob <= tol.eps:
         return prob, None
     ops[k] = sqrt_e
-    full_sqrt = ops[0]
-    for o in ops[1:]:
-        full_sqrt = np.kron(full_sqrt, o)
-    post = full_sqrt @ state.amplitudes
+    post = functools.reduce(np.kron, ops) @ state.amplitudes
     post = post / np.linalg.norm(post)
     return prob, StateVector(post, state.parties, state.label)
 
@@ -250,13 +243,11 @@ def _half_projector_03() -> np.ndarray:
 
 
 def _pairwise_orthogonal(vectors, tol: Tolerance) -> bool:
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            vi = vectors[i] / np.linalg.norm(vectors[i])
-            vj = vectors[j] / np.linalg.norm(vectors[j])
-            if abs(np.vdot(vi, vj)) > 10.0 * tol.eps:
-                return False
-    return True
+    units = [v / np.linalg.norm(v) for v in vectors]
+    return all(
+        abs(np.vdot(a, b)) <= 10.0 * tol.eps
+        for a, b in itertools.combinations(units, 2)
+    )
 
 
 def _certified_qutrit_upb(states: list[StateVector], tol: Tolerance) -> bool:

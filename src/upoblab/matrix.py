@@ -7,6 +7,7 @@ go through singular values with a relative threshold.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,10 +66,7 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Left-to-right Kronecker product of a nonempty factor list."""
     if len(factors) == 0:
         raise EmptyInputError("kron_all requires at least one factor")
-    out = as_matrix(factors[0])
-    for f in factors[1:]:
-        out = kron(out, f)
-    return out
+    return functools.reduce(kron, factors[1:], as_matrix(factors[0]))
 
 
 def hs_inner(a, b) -> complex:
@@ -95,13 +93,15 @@ def _stack_vectorized(mats: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([m.ravel() for m in mats])
 
 
+def sv_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Count of the descending singular values ``s`` above ``tol.eps`` times
+    the largest one."""
+    return int(np.count_nonzero(s > tol.eps * s[0])) if s.size else 0
+
+
 def row_rank(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank of a 2-D array: the singular values above ``tol.eps`` times the
-    largest one."""
-    s = np.linalg.svd(rows, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.eps * s[0]))
+    """Rank of a 2-D array, by ``sv_rank``."""
+    return sv_rank(np.linalg.svd(rows, compute_uv=False), tol)
 
 
 def numeric_rank(mats: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> int:
@@ -121,13 +121,7 @@ def is_unitary(a, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def standard_basis(rows: int, cols: int) -> list[np.ndarray]:
     """Row-major list of the matrix units E_pq."""
-    out = []
-    for p in range(rows):
-        for q in range(cols):
-            e = np.zeros((rows, cols), dtype=complex)
-            e[p, q] = 1.0
-            out.append(e)
-    return out
+    return [e.reshape(rows, cols) for e in np.eye(rows * cols, dtype=complex)]
 
 
 def complement_basis(
@@ -148,13 +142,8 @@ def complement_basis(
             raise ShapeError(f"span element shape {np.shape(m)} != {ambient_shape}")
     # Rows conj(vec(s_j)) so that S @ vec(e) stacks the inner products
     # hs_inner(s_j, e); the null space of S is the complement.
-    stacked = _stack_vectorized(span).conj()
-    u, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    if s.size and s[0] > 0.0:
-        rank = int(np.count_nonzero(s > tol.eps * s[0]))
-    else:
-        rank = 0
-    return [vh[i].conj().reshape(rows, cols) for i in range(rank, rows * cols)]
+    _, s, vh = np.linalg.svd(_stack_vectorized(span).conj(), full_matrices=True)
+    return [v.conj().reshape(rows, cols) for v in vh[sv_rank(s, tol) :]]
 
 
 def nearest_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -8,6 +8,7 @@ handled uniformly as sets with column-vector party shapes (d, 1).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -110,10 +111,7 @@ class OperatorSet:
 
     def total_dimension(self) -> int:
         """Product of party row counts (the d of Tr(U^dag U) = d)."""
-        out = 1
-        for r, _ in self.shape:
-            out *= r
-        return out
+        return math.prod(r for r, _ in self.shape)
 
     def to_json(self) -> dict:
         return {
@@ -170,17 +168,15 @@ def gram(op_set: OperatorSet) -> np.ndarray:
 
 
 def check_orthonormal(op_set: OperatorSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Tr(U_j^dag U_k) = d delta_jk after normalizing members to norm sqrt(d)."""
+    """Tr(U_j^dag U_k) = d delta_jk after normalizing members to norm sqrt(d).
+
+    Dividing by d, that is pairwise orthogonality of the unit-normalized
+    members, with the diagonal 1 by construction.
+    """
     for r, c in op_set.shape:
         if r != c:
             raise ShapeError("orthonormality is defined for square parties only")
-    d = op_set.total_dimension()
-    g = gram(op_set)
-    norms = np.array([m.norm() for m in op_set.members])
-    scale = np.sqrt(d) / norms
-    g = g * np.outer(scale, scale)
-    dev = np.abs(g - d * np.eye(len(op_set))).max()
-    return bool(dev <= tol.eps * d)
+    return check_pairwise_orthogonal(op_set, tol)
 
 
 def check_pairwise_orthogonal(op_set: OperatorSet, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -5,8 +5,9 @@ party's factor W_p is orthogonal to that member's factor.  So a set is
 extendible iff one hyperplane per party, each spanned by that party's
 distinct factor directions, can be chosen so that together they hold every
 member (the partition lemma of Bennett et al., PRL 82, 5385 (1999)).  The
-search lists those hyperplanes as member bitmasks and covers the set with
-them; the witness factors are the per-party complements of the cover.
+search covers the set with them, listing a party's hyperplanes as member
+bitmasks or, for a party with too many, growing its span from the members it
+must hold; the witness factors are the per-party complements of the cover.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .matrix import (
     is_unitary,
     nearest_unitary,
     row_rank,
+    sv_rank,
 )
 from .product import (
     OperatorSet,
@@ -44,7 +46,8 @@ UNEXTENDIBLE = "unextendible"
 EXTENDIBLE = "extendible"
 UNKNOWN = "unknown"
 
-#: Candidate direction subsets per batched SVD; bounds the enumeration's memory.
+#: Candidate direction subsets per batched SVD, which bounds the listing's
+#: memory; a party with more candidate hyperplanes is tracked, not listed.
 _CHUNK = 2048
 
 
@@ -130,9 +133,14 @@ def _hyperplanes(dirs: np.ndarray, tol: Tolerance) -> list[list[bool]]:
     found: dict = {}
     subsets = itertools.combinations(range(k), dim - 1)
     while chunk := list(itertools.islice(subsets, _CHUNK)):
-        _, s, vh = np.linalg.svd(dirs[np.array(chunk)])
-        normals = vh[s[:, -1] > tol.eps * s[:, 0], -1]
-        for row in np.abs(normals.conj() @ dirs.T) <= tol.eps:
+        idx = np.array(chunk)
+        _, s, vh = np.linalg.svd(dirs[idx])
+        keep = s[:, -1] > tol.eps * s[:, 0]
+        inside = np.abs(vh[keep, -1].conj() @ dirs.T) <= tol.eps
+        # A nearly dependent subset gives an inexact normal; its own rows
+        # still lie in the hyperplane they span.
+        np.put_along_axis(inside, idx[keep], True, axis=1)
+        for row in inside:
             found.setdefault(row.tobytes(), row)
     return np.array(list(found.values())).tolist()
 
@@ -144,11 +152,15 @@ def extendibility_search(
 ) -> ExtendibilityVerdict:
     """Hyperplane-cover search over the parties' factor directions.
 
-    All parties but one list their hyperplanes as member bitmasks.  The first
-    uncovered member is covered by a hyperplane of an unfixed listed party or
-    left to the last party, whose leftover members must span less than its
-    local space (a rank check); recursion depth is at most the party count.
-    Listed direction subsets and tried hyperplanes count against the budget.
+    The party with the most candidate hyperplanes, ``last``, and any with
+    more than ``_CHUNK`` are tracked: they collect the directions of the
+    members given to them, which must span less than their local space.  The
+    others list their hyperplanes as member bitmasks.  The first uncovered
+    member is covered by a hyperplane of an unfixed listed party, by a
+    tracked party, or last by ``last``, which needs no recursion.  Recursion
+    depth is at most the number of listed parties plus D-1 per other tracked
+    party, so at most the party count when only ``last`` is tracked.  Listed
+    direction subsets and branches count against the budget.
     """
     if budget <= 0:
         raise ConfigError(f"budget must be positive, got {budget}")
@@ -161,19 +173,13 @@ def extendibility_search(
     table = _direction_table(op_set)
     order = _greedy_member_order(table)
 
-    def extendible(cover, rest: int, nodes: int) -> ExtendibilityVerdict:
-        """Members go to the first party in ``cover`` whose hyperplane holds
-        them, all others to party ``rest``."""
-        partition = tuple(
-            next((p for p, h in cover if h >> bit & 1), rest)
-            for bit in np.argsort(order).tolist()
-        )
+    def extendible(partition, nodes: int) -> ExtendibilityVerdict:
         witness = extract_witness(partition, op_set, tol)
         return ExtendibilityVerdict(EXTENDIBLE, witness, partition, nodes, budget)
 
     for p, (dirs, _) in enumerate(table):
         if row_rank(dirs, tol) < dims[p]:
-            return extendible((), p, 0)
+            return extendible((p,) * n, 0)
 
     # Member bit b stands for member order[b], so the lowest uncovered bit is
     # the next member to branch on.  dir_members[p][d]: members whose factor
@@ -184,86 +190,120 @@ def extendibility_search(
         for bit, d in enumerate(dir_of[p]):
             dir_members[p][d] |= 1 << bit
 
-    # The party with the most candidate hyperplanes, ``last``, is decided by a
-    # rank check.  Its hyperplanes are listed, only to bound its cover, when
-    # that at most doubles the listing work.
+    # Parties with few candidate hyperplanes are listed, the others tracked.
+    # ``last``, the party with the most, is tracked and tried last; its
+    # hyperplanes are listed, only to bound its cover, when that at most
+    # doubles the listing work.
     counts = [math.comb(len(dirs), d - 1) for (dirs, _), d in zip(table, dims)]
     last = max(range(n_parties), key=counts.__getitem__)
-    branched = [p for p in range(n_parties) if p != last]
-    listed = list(branched)
-    if counts[last] <= sum(counts[p] for p in branched):
-        listed.append(last)
-    nodes = sum(counts[p] for p in listed)
+    listed = [p for p in range(n_parties) if p != last and counts[p] <= _CHUNK]
+    tracked = [p for p in range(n_parties) if p not in listed and p != last] + [last]
+    bounded = listed + [last] * (counts[last] <= sum(counts[p] for p in listed))
+    nodes = sum(counts[p] for p in bounded)
     unknown = ExtendibilityVerdict(UNKNOWN, nodes_explored=budget, budget=budget)
     if nodes >= budget:
         return unknown
 
     containing = [[[] for _ in dirs] for dirs, _ in table]
     best = [n] * n_parties
-    for p in listed:
+    for p in bounded:
         best[p] = 0
         for row in _hyperplanes(table[p][0], tol):
             hits = [d for d, inside in enumerate(row) if inside]
             # Each member has one direction per party, so the masks are disjoint.
             members = sum(dir_members[p][d] for d in hits)
             best[p] = max(best[p], members.bit_count())
-            for d in hits:
-                containing[p][d].append(members)
+            if p != last:
+                for d in hits:
+                    containing[p][d].append(members)
 
-    last_dirs, last_members, last_of = table[last][0], dir_members[last], dir_of[last]
+    def residual(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return v - (v @ rows.conj().T) @ rows
+
+    @functools.lru_cache(maxsize=4096)
+    def basis(p: int, held: int) -> np.ndarray:
+        """Orthonormal rows spanning party p's independent directions in
+        bitmask ``held``, by Gram-Schmidt projecting twice."""
+        if not held:
+            return table[p][0][:0]
+        d = held.bit_length() - 1
+        rows = basis(p, held & ~(1 << d))
+        w = residual(rows, residual(rows, table[p][0][d]))
+        return np.vstack([rows, w / np.linalg.norm(w)])
+
+    @functools.lru_cache(maxsize=4096)
+    def holds(p: int, held: int, d: int) -> bool:
+        """Whether the span of ``held`` holds party p's direction d: its
+        residual has norm at most ``tol.eps``, as directions are unit."""
+        r = residual(basis(p, held), table[p][0][d])
+        return bool(np.vdot(r, r).real <= tol.eps**2)
+
+    def branch() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes >= budget:
+            raise _BudgetExhausted
+
     cover: list = []
 
-    @functools.cache
-    def rank(held: int) -> int:
-        """Rank of the last party's directions in bitmask ``held``."""
-        idx = [d for d in range(len(last_dirs)) if held >> d & 1]
-        return row_rank(last_dirs[idx], tol)
-
-    def search(todo: int, free: tuple, held: int, tried: int) -> bool:
-        """Cover ``todo`` with one hyperplane per party in ``free`` and one of
-        the last party holding its directions ``held``.  Hyperplanes holding
-        a member of ``tried`` were already tried under weaker constraints."""
-        nonlocal nodes
-        if todo.bit_count() > sum(best[p] for p in free) + best[last]:
-            return False
-        if not free:
-            while todo:
-                d = last_of[(todo & -todo).bit_length() - 1]
-                held |= 1 << d
-                todo &= ~last_members[d]
-            return rank(held) < dims[last]
+    def search(todo: int, free: tuple, held: tuple, tried: int):
+        """Cover ``todo`` with one hyperplane per party in ``free`` and spans
+        of the tracked parties holding their directions in ``held``.
+        Hyperplanes holding a member of ``tried`` were already tried under
+        weaker constraints.  Returns the final ``held``, or None."""
+        if todo.bit_count() > sum(best[p] for p in free + tuple(tracked)):
+            return None
         while todo:
             bit = (todo & -todo).bit_length() - 1
-            d = last_of[bit]
-            grown = rank(held | 1 << d)
-            if grown > rank(held):
-                # Either a free party covers this member, or the last party
-                # does and its directions grow.
-                for p in free:
-                    rest = tuple(q for q in free if q != p)
-                    for h in containing[p][dir_of[p][bit]]:
-                        if h & tried:
-                            continue
-                        nodes += 1
-                        if nodes >= budget:
-                            raise _BudgetExhausted
+            t = next((t for t in tracked if holds(t, held[t], dir_of[t][bit])), None)
+            if t is not None:
+                todo &= ~dir_members[t][dir_of[t][bit]]
+                continue
+            for p in free:
+                rest = tuple(q for q in free if q != p)
+                for h in containing[p][dir_of[p][bit]]:
+                    if h & tried:
+                        continue
+                    branch()
+                    if (found := search(todo & ~h, rest, held, tried)) is not None:
                         cover.append((p, h))
-                        if search(todo & ~h, rest, held, tried):
-                            return True
-                        cover.pop()
-                if grown == dims[last]:
-                    return False
-                tried |= 1 << bit
-            held |= 1 << d
-            todo &= ~last_members[d]
-        return True
+                        return found
+            for t in tracked:
+                if held[t].bit_count() == dims[t] - 1:
+                    continue
+                grown = held[:t] + (held[t] | 1 << dir_of[t][bit],) + held[t + 1 :]
+                if t == last:
+                    # No recursion, and no later branch may put this member
+                    # in a listed hyperplane.
+                    tried |= 1 << bit
+                    held = grown
+                    todo &= ~dir_members[t][dir_of[t][bit]]
+                    break
+                branch()
+                if (found := search(todo, free, grown, tried)) is not None:
+                    return found
+            else:
+                return None
+        return held
 
     try:
-        if search((1 << n) - 1, tuple(branched), 0, 0):
-            return extendible(cover, last, nodes)
+        final = search((1 << n) - 1, tuple(listed), (0,) * n_parties, 0)
     except _BudgetExhausted:
         return unknown
-    return ExtendibilityVerdict(UNEXTENDIBLE, nodes_explored=nodes, budget=budget)
+    if final is None:
+        return ExtendibilityVerdict(UNEXTENDIBLE, nodes_explored=nodes, budget=budget)
+    # Each member goes to a listed party whose hyperplane holds it, or else
+    # to a tracked party whose span does.
+    partition = tuple(
+        next(
+            itertools.chain(
+                (p for p, h in cover if h >> bit & 1),
+                (t for t in tracked if holds(t, final[t], dir_of[t][bit])),
+            )
+        )
+        for bit in np.argsort(order).tolist()
+    )
+    return extendible(partition, nodes)
 
 
 def extract_witness(
@@ -300,13 +340,11 @@ def verify_witness(
         raise ShapeError(
             f"witness shape {w.party_shape} does not match set shape {op_set.shape}"
         )
-    for m in op_set.members:
-        inner = 1.0 + 0.0j
-        for wf, mf in zip(w.factors, m.factors):
-            inner *= hs_inner(wf, mf)
-        if abs(inner) > 10.0 * tol.eps:
-            return False
-    return True
+    return all(
+        abs(math.prod(hs_inner(wf, mf) for wf, mf in zip(w.factors, m.factors)))
+        <= 10.0 * tol.eps
+        for m in op_set.members
+    )
 
 
 def _product_factorization(vec: np.ndarray, shape, iters: int = 40):
@@ -351,14 +389,11 @@ def unitary_witness_search(
         if r != c:
             raise ShapeError("product-unitary search needs square parties")
     shape = op_set.shape
-    full_dim = 1
-    for r, _ in shape:
-        full_dim *= r
+    full_dim = math.prod(r for r, _ in shape)
     span_rows = np.stack([m.full_matrix().ravel() for m in op_set.members])
     # Orthonormal basis of the complement inside the full operator space.
-    u, s, vh = np.linalg.svd(span_rows.conj(), full_matrices=True)
-    rank = int(np.count_nonzero(s > tol.eps * s[0])) if s.size else 0
-    comp = vh[rank:].conj()
+    _, s, vh = np.linalg.svd(span_rows.conj(), full_matrices=True)
+    comp = vh[sv_rank(s, tol) :].conj()
     if comp.shape[0] == 0:
         return None
 
@@ -444,8 +479,7 @@ def classify(
     seed: int = DEFAULT_SEED,
 ) -> Classification:
     """Assemble the UPOB / strongly-UPUOB / UPUOB-evidence verdict."""
-    square = all(r == c for r, c in op_set.shape)
-    if square:
+    if all(r == c for r, c in op_set.shape):
         orthonormal = check_orthonormal(op_set, tol)
     else:
         orthonormal = check_pairwise_orthogonal(op_set, tol)

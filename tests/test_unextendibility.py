@@ -15,6 +15,7 @@ from upoblab.catalog import (
 from upoblab.errors import ConfigError, NoWitnessError, ShapeError
 from upoblab.matrix import Tolerance, is_unitary, numeric_rank
 from upoblab.product import OperatorSet, ProductOperator, product_vector_set
+from upoblab import unextend
 from upoblab.unextend import (
     EXTENDIBLE,
     UNEXTENDIBLE,
@@ -204,10 +205,14 @@ class TestThreePartyOracle:
         ],
         ids=["2x2^3", "mixed", "qubit-vectors"],
     )
-    def test_pooled_sets_match_exhaustive(self, shape):
+    @pytest.mark.parametrize("listing", [True, False], ids=["listed", "tracked"])
+    def test_pooled_sets_match_exhaustive(self, shape, listing, monkeypatch):
         # Half of the factors come from a pool of three per party, so
         # directions repeat.  Up to 9 generic members always fit in (2x2)^3;
-        # the smaller parties make both verdicts occur.
+        # the smaller parties make both verdicts occur.  Without listing,
+        # every party is tracked by the spans of its chosen directions.
+        if not listing:
+            monkeypatch.setattr(unextend, "_CHUNK", 1)
         rng = np.random.default_rng(0x3BA)
 
         def gaussian(r, c):
@@ -254,25 +259,74 @@ class TestNQubitFamily:
             assert verify_witness(v.witness, drop(s, label))
 
 
-class TestHyperplaneBudget:
-    def test_two_large_parties_unknown(self):
-        # Two 9-dimensional parties with 40 distinct directions each have
-        # C(40, 8) candidate hyperplanes apiece; the budget stops the listing
-        # before any of them is built.
-        rng = np.random.default_rng(0xB16)
-        members = tuple(
-            ProductOperator(
-                tuple(
-                    rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-                    for _ in range(2)
-                ),
-                f"m_{j}",
-            )
-            for j in range(40)
+def generic_3x3_pair(n):
+    """n members on M_3,3 (x) M_3,3 with random, hence generic, factors."""
+    rng = np.random.default_rng(0xB16)
+    members = tuple(
+        ProductOperator(
+            tuple(
+                rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                for _ in range(2)
+            ),
+            f"m_{j}",
         )
-        v = extendibility_search(OperatorSet(((3, 3), (3, 3)), members), budget=10_000)
+        for j in range(n)
+    )
+    return OperatorSet(((3, 3), (3, 3)), members)
+
+
+class TestLargeParties:
+    # With n distinct directions a 9-dimensional party has C(n, 8) candidate
+    # hyperplanes, too many to list for n >= 14, so both parties are tracked.
+    # A hyperplane holds at most 8 generic directions.
+
+    def test_two_large_parties_unextendible(self):
+        v = extendibility_search(generic_3x3_pair(40))
+        assert v.status == UNEXTENDIBLE
+        assert v.nodes_explored < 30_000
+
+    def test_two_large_parties_extendible(self):
+        s = generic_3x3_pair(16)
+        v = extendibility_search(s)
+        assert v.status == EXTENDIBLE
+        assert sorted(v.partition) == [0] * 8 + [1] * 8
+        assert verify_witness(v.witness, s)
+
+    def test_budget_bounds_tracked_search(self):
+        v = extendibility_search(generic_3x3_pair(40), budget=10_000)
         assert v.status == UNKNOWN
         assert v.nodes_explored == 10_000
+
+
+class TestNearlyParallelDirections:
+    def test_hyperplane_holds_its_spanning_pair(self):
+        # u1 and u2 differ by 1e-8: distinct directions, but nearly
+        # dependent.  The only extension covers the first four members by
+        # span(u1, u2) at the listed first party and the rest by span(c1, c2).
+        rng = np.random.default_rng(5)
+
+        def unit():
+            v = rng.normal(size=3) + 1j * rng.normal(size=3)
+            return v / np.linalg.norm(v)
+
+        u1 = unit()
+        u2 = u1 + 1e-8 * unit()
+        u3, u4, u5, b1, b2, c1, c2, c3, c4 = (unit() for _ in range(9))
+        pairs = [
+            (u1, b1), (u2, b2), (u1, c3), (u2, c4), (u3, c1),
+            (u4, c2), (u5, c1), (u3, c2), (u4, c1), (u5, c2),
+        ]  # fmt: skip
+        s = OperatorSet(
+            ((3, 1), (3, 1)),
+            tuple(
+                ProductOperator((a.reshape(3, 1), b.reshape(3, 1)), f"m_{j}")
+                for j, (a, b) in enumerate(pairs)
+            ),
+        )
+        v = extendibility_search(s)
+        assert v.status == EXTENDIBLE
+        assert v.partition == (0,) * 4 + (1,) * 6
+        assert verify_witness(v.witness, s)
 
 
 class TestWitness:
