@@ -309,19 +309,30 @@ def tensor_combine(
     return OperatorSet(tuple(out_shape), tuple(members))
 
 
+def _name_int(name: str) -> int:
+    """The integer after the colon of a catalog name such as ``weyl:3``."""
+    arg = name.split(":", 1)[1]
+    try:
+        return int(arg)
+    except ValueError:
+        raise ConfigError(
+            f"catalog name {name!r} needs an integer, got {arg!r}"
+        ) from None
+
+
 def construct_by_name(name: str, base: str | None = None) -> OperatorSet:
     """Catalog lookup used by the CLI: u2 | nqubit:n | qutrit-uuo | weyl:d |
     lift:q | example2 | example1-upb | example1-upob."""
     if name == "u2":
         return u2_strong_upuob()
     if name.startswith("nqubit:"):
-        return nqubit_strong_upuob(int(name.split(":", 1)[1]))
+        return nqubit_strong_upuob(_name_int(name))
     if name == "qutrit-uuo":
         return qutrit_uuo_set()
     if name.startswith("weyl:"):
-        return weyl_heisenberg(int(name.split(":", 1)[1]))
+        return weyl_heisenberg(_name_int(name))
     if name.startswith("lift:"):
-        q = int(name.split(":", 1)[1])
+        q = _name_int(name)
         base_set = construct_by_name(base or "qutrit-uuo")
         return lift_uuo(LiftParams(q, base_set))
     if name == "example2":

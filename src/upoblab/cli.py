@@ -72,7 +72,7 @@ def cmd_export(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.set, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if "result" in obj and "members" not in obj:
+    if isinstance(obj, dict) and "result" in obj and "members" not in obj:
         obj = obj["result"]  # accept construct envelopes as well
     op_set = OperatorSet.from_json(obj)
     tol = Tolerance(args.tol)
@@ -172,7 +172,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else int(exc.code or 0)
     try:
         return args.func(args)
-    except (UpoblabError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (
+        UpoblabError,
+        OSError,
+        UnicodeDecodeError,
+        json.JSONDecodeError,
+        KeyError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ go through singular values with a relative threshold.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,7 +45,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ShapeError("matrix contains NaN or Inf entries")
     return m
 
@@ -124,6 +125,15 @@ def standard_basis(rows: int, cols: int) -> list[np.ndarray]:
     return [e.reshape(rows, cols) for e in np.eye(rows * cols, dtype=complex)]
 
 
+def complement_rows(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal rows spanning the orthogonal complement of the span of
+    ``rows``, a 2-D array with one vectorized matrix per row."""
+    # The null space of conj(rows), whose products with vec(e) stack the
+    # inner products hs_inner(s_j, e), is the complement.
+    _, s, vh = np.linalg.svd(rows.conj(), full_matrices=True)
+    return vh[sv_rank(s, tol) :].conj()
+
+
 def complement_basis(
     span: Sequence[np.ndarray],
     ambient_shape: tuple[int, int],
@@ -140,10 +150,7 @@ def complement_basis(
     for m in span:
         if as_matrix(m).shape != (rows, cols):
             raise ShapeError(f"span element shape {np.shape(m)} != {ambient_shape}")
-    # Rows conj(vec(s_j)) so that S @ vec(e) stacks the inner products
-    # hs_inner(s_j, e); the null space of S is the complement.
-    _, s, vh = np.linalg.svd(_stack_vectorized(span).conj(), full_matrices=True)
-    return [v.conj().reshape(rows, cols) for v in vh[sv_rank(s, tol) :]]
+    return [v.reshape(rows, cols) for v in complement_rows(_stack_vectorized(span), tol)]
 
 
 def nearest_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -165,19 +172,31 @@ def matrix_to_json(a) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in a.ravel()],
+        "entries": a.ravel().view(float).reshape(-1, 2).tolist(),
     }
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows = int(obj["rows"])
-    cols = int(obj["cols"])
-    if rows <= 0 or cols <= 0:
-        raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    entries = obj["entries"]
-    if len(entries) != rows * cols:
+    """Inverse of ``matrix_to_json``.  ``entries`` must be rows*cols pairs of
+    JSON numbers; anything else raises ShapeError."""
+    if not isinstance(obj, dict):
+        raise ShapeError(f"a matrix must be a JSON object, got {type(obj).__name__}")
+    rows, cols = obj["rows"], obj["cols"]
+    for n in (rows, cols):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n <= 0:
+            raise ShapeError(f"matrix dimensions must be positive integers, got {n!r}")
+    try:
+        entries = np.asarray(obj["entries"])
+    except ValueError as exc:
+        raise ShapeError(f"matrix entries do not form an array: {exc}") from None
+    if entries.shape != (rows * cols, 2):
         raise ShapeError(
-            f"entry count {len(entries)} does not match {rows}x{cols}"
+            f"entries of shape {entries.shape} are not {rows}x{cols} [re, im] pairs"
         )
-    flat = np.array([complex(re, im) for re, im in entries])
+    # Kinds i, u and f are the integer and float dtypes.  A JSON boolean
+    # among numbers is promoted to a number, so it is looked for directly.
+    types = set(map(type, itertools.chain(*obj["entries"])))
+    if entries.dtype.kind not in "iuf" or bool in types:
+        raise ShapeError("matrix entries must be real numbers")
+    flat = np.ascontiguousarray(entries, dtype=float).view(complex)
     return as_matrix(flat.reshape(rows, cols))

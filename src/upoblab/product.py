@@ -14,9 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, ShapeError
+from .errors import EmptyInputError, ShapeError, SizeError
 from .matrix import (
     DEFAULT_TOL,
+    MAX_PRODUCT_DIM,
     Tolerance,
     as_matrix,
     frobenius_norm,
@@ -30,7 +31,12 @@ PartyShape = tuple[tuple[int, int], ...]
 
 
 def validate_party_shape(shape: Sequence[Sequence[int]]) -> PartyShape:
-    shape = tuple((int(r), int(c)) for r, c in shape)
+    try:
+        shape = tuple((int(r), int(c)) for r, c in shape)
+    except (TypeError, ValueError):
+        raise ShapeError(
+            f"a party shape is a list of [rows, cols] pairs, got {shape!r}"
+        ) from None
     if len(shape) == 0:
         raise ShapeError("a party shape needs at least one party")
     for r, c in shape:
@@ -121,14 +127,18 @@ class OperatorSet:
 
     @staticmethod
     def from_json(obj: dict) -> "OperatorSet":
+        if not isinstance(obj, dict) or not isinstance(obj["members"], list):
+            raise ShapeError("an operator set is a JSON object with a members list")
         shape = validate_party_shape(obj["shape"])
-        members = tuple(
-            ProductOperator(
-                tuple(matrix_from_json(f) for f in m["factors"]), m["label"]
-            )
-            for m in obj["members"]
-        )
-        return OperatorSet(shape, members)
+        members = []
+        for m in obj["members"]:
+            if not isinstance(m, dict) or not isinstance(m["factors"], list):
+                raise ShapeError("a member is a JSON object with a factors list")
+            if not isinstance(m["label"], str):
+                raise ShapeError(f"member labels are strings, got {m['label']!r}")
+            factors = tuple(matrix_from_json(f) for f in m["factors"])
+            members.append(ProductOperator(factors, m["label"]))
+        return OperatorSet(shape, tuple(members))
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,35 @@ def row_major_index_set(m: int, n: int, d: int | None = None) -> IndexSet:
     return IndexSet(tuple(positions))
 
 
+def party_rows(op_set: OperatorSet, p: int) -> np.ndarray:
+    """Party p's stack: row j is member j's factor at party p, vectorized
+    row-major, so the array has shape (len(op_set), rows * cols)."""
+    r, c = op_set.shape[p]
+    if len(op_set) == 0:
+        return np.empty((0, r * c), dtype=complex)
+    return np.concatenate([m.factors[p] for m in op_set.members]).reshape(-1, r * c)
+
+
+def kron_rows(op_set: OperatorSet) -> np.ndarray:
+    """Row j is member j's full matrix, the Kronecker product of its factors,
+    vectorized row-major: ``kron_all`` of every member at once."""
+    rows = math.prod(r for r, _ in op_set.shape)
+    cols = math.prod(c for _, c in op_set.shape)
+    if rows > MAX_PRODUCT_DIM or cols > MAX_PRODUCT_DIM:
+        raise SizeError(
+            f"full matrices {rows}x{cols} exceed the cap of {MAX_PRODUCT_DIM}"
+        )
+    n = len(op_set)
+    (r, c), *rest = op_set.shape
+    out = party_rows(op_set, 0).reshape(n, r, c)
+    for p, (r, c) in enumerate(rest, 1):
+        # out[j, i, k, a, b] = out[j, i, a] * f_j[k, b], np.kron's layout.
+        f = party_rows(op_set, p).reshape(n, 1, r, 1, c)
+        out = out[:, :, None, :, None] * f
+        out = out.reshape(n, out.shape[1] * r, out.shape[3] * c)
+    return out.reshape(n, -1)
+
+
 def gram(op_set: OperatorSet) -> np.ndarray:
     """G(j, k) = hs_inner(U_j, U_k), via the per-party factorization."""
     if len(op_set) == 0:
@@ -162,7 +201,7 @@ def gram(op_set: OperatorSet) -> np.ndarray:
     n = len(op_set)
     out = np.ones((n, n), dtype=complex)
     for party in range(op_set.n_parties):
-        stacked = np.stack([m.factors[party].ravel() for m in op_set.members])
+        stacked = party_rows(op_set, party)
         out *= stacked.conj() @ stacked.T
     return out
 
@@ -186,7 +225,9 @@ def check_pairwise_orthogonal(op_set: OperatorSet, tol: Tolerance = DEFAULT_TOL)
     vectors), where the sqrt(d) convention does not apply.
     """
     g = gram(op_set)
-    norms = np.array([m.norm() for m in op_set.members])
+    # G(j, j) is the product of the squared factor norms, so its root is the
+    # member's norm.
+    norms = np.sqrt(np.diag(g).real)
     g = g / np.outer(norms, norms)
     off = g - np.diag(np.diag(g))
     return bool(np.abs(off).max() <= tol.eps)

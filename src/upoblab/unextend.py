@@ -23,18 +23,18 @@ from .errors import ConfigError, NoWitnessError, ShapeError, SingularError
 from .matrix import (
     DEFAULT_TOL,
     Tolerance,
-    complement_basis,
+    complement_rows,
     hs_inner,
-    is_unitary,
     nearest_unitary,
     row_rank,
-    sv_rank,
 )
 from .product import (
     OperatorSet,
     ProductOperator,
     check_orthonormal,
     check_pairwise_orthogonal,
+    kron_rows,
+    party_rows,
 )
 
 DEFAULT_BUDGET = 50_000_000
@@ -105,7 +105,7 @@ def _direction_table(op_set: OperatorSet):
     rounded."""
     table = []
     for p in range(op_set.n_parties):
-        vecs = np.stack([m.factors[p].ravel() for m in op_set.members])
+        vecs = party_rows(op_set, p)
         vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
         pivots = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
         # Adding 0.0 folds -0.0 into 0.0 so equal keys have equal bytes.
@@ -124,14 +124,15 @@ def _greedy_member_order(table) -> list[int]:
     return np.argsort(score, kind="stable").tolist()
 
 
-def _hyperplanes(dirs: np.ndarray, tol: Tolerance) -> list[list[bool]]:
+def _hyperplanes(dirs: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The distinct hyperplanes spanned by D-1 independent rows of ``dirs``,
-    each as the list of flags of the rows it contains."""
+    in order of first appearance, as a boolean array: row h flags the rows of
+    ``dirs`` that hyperplane h contains."""
     k, dim = dirs.shape
     if dim == 1:
-        return [[False] * k]
-    found: dict = {}
+        return np.zeros((1, k), dtype=bool)
     subsets = itertools.combinations(range(k), dim - 1)
+    blocks = []
     while chunk := list(itertools.islice(subsets, _CHUNK)):
         idx = np.array(chunk)
         _, s, vh = np.linalg.svd(dirs[idx])
@@ -140,9 +141,11 @@ def _hyperplanes(dirs: np.ndarray, tol: Tolerance) -> list[list[bool]]:
         # A nearly dependent subset gives an inexact normal; its own rows
         # still lie in the hyperplane they span.
         np.put_along_axis(inside, idx[keep], True, axis=1)
-        for row in inside:
-            found.setdefault(row.tobytes(), row)
-    return np.array(list(found.values())).tolist()
+        blocks.append(inside)
+    inside = np.concatenate(blocks)
+    # One bytes key per row; return_index gives each key's first row.
+    _, first = np.unique(inside.view(np.dtype((np.void, k))).ravel(), return_index=True)
+    return inside[np.sort(first)]
 
 
 def extendibility_search(
@@ -181,15 +184,6 @@ def extendibility_search(
         if row_rank(dirs, tol) < dims[p]:
             return extendible((p,) * n, 0)
 
-    # Member bit b stands for member order[b], so the lowest uncovered bit is
-    # the next member to branch on.  dir_members[p][d]: members whose factor
-    # at party p has direction d.
-    dir_of = [ids[order].tolist() for _, ids in table]
-    dir_members = [[0] * len(dirs) for dirs, _ in table]
-    for p in range(n_parties):
-        for bit, d in enumerate(dir_of[p]):
-            dir_members[p][d] |= 1 << bit
-
     # Parties with few candidate hyperplanes are listed, the others tracked.
     # ``last``, the party with the most, is tracked and tried last; its
     # hyperplanes are listed, only to bound its cover, when that at most
@@ -204,18 +198,32 @@ def extendibility_search(
     if nodes >= budget:
         return unknown
 
-    containing = [[[] for _ in dirs] for dirs, _ in table]
+    # best[p]: the most members one hyperplane of party p holds, a direction
+    # holding as many as share it.
+    planes = {p: _hyperplanes(table[p][0], tol) for p in bounded}
     best = [n] * n_parties
-    for p in bounded:
-        best[p] = 0
-        for row in _hyperplanes(table[p][0], tol):
-            hits = [d for d, inside in enumerate(row) if inside]
+    for p, inside in planes.items():
+        best[p] = int((inside @ np.bincount(table[p][1])).max(initial=0))
+    if n > sum(best):
+        return ExtendibilityVerdict(UNEXTENDIBLE, nodes_explored=nodes, budget=budget)
+
+    # Member bit b stands for member order[b], so the lowest uncovered bit is
+    # the next member to branch on.  dir_members[p][d]: members whose factor
+    # at party p has direction d.
+    dir_of = [ids[order].tolist() for _, ids in table]
+    dir_members = [[0] * len(dirs) for dirs, _ in table]
+    for p in range(n_parties):
+        for bit, d in enumerate(dir_of[p]):
+            dir_members[p][d] |= 1 << bit
+
+    containing = [[[] for _ in dirs] for dirs, _ in table]
+    for p in listed:
+        for row in planes[p]:
+            hits = np.flatnonzero(row).tolist()
             # Each member has one direction per party, so the masks are disjoint.
             members = sum(dir_members[p][d] for d in hits)
-            best[p] = max(best[p], members.bit_count())
-            if p != last:
-                for d in hits:
-                    containing[p][d].append(members)
+            for d in hits:
+                containing[p][d].append(members)
 
     def residual(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
         return v - (v @ rows.conj().T) @ rows
@@ -318,15 +326,17 @@ def extract_witness(
     """
     if len(partition) != len(op_set):
         raise ShapeError("partition length does not match the member count")
+    partition = np.asarray(partition)
     factors = []
     for p, (rows, cols) in enumerate(op_set.shape):
-        assigned = [
-            m.factors[p] for j, m in enumerate(op_set.members) if partition[j] == p
-        ]
-        comp = complement_basis(assigned, (rows, cols), tol)
-        if not comp:
+        assigned = party_rows(op_set, p)[partition == p]
+        if len(assigned):
+            comp = complement_rows(assigned, tol)
+        else:
+            comp = np.eye(rows * cols, dtype=complex)
+        if len(comp) == 0:
             raise NoWitnessError(f"party {p} span is full; no witness factor exists")
-        factors.append(comp[0])
+        factors.append(comp[0].reshape(rows, cols))
     return ProductOperator(tuple(factors), "witness")
 
 
@@ -364,15 +374,22 @@ def _product_factorization(vec: np.ndarray, shape, iters: int = 40):
         rest = vh[0]
     factors.append(rest.copy())
     if n > 2:
+        # Conjugated unit factors, renewed whenever their factor is.
+        units = [(f / np.linalg.norm(f)).conj() for f in factors]
         for _ in range(iters):
             for p in range(n):
-                others = [factors[q] / np.linalg.norm(factors[q]) for q in range(n)]
                 contraction = t
-                for q in sorted((x for x in range(n) if x != p), reverse=True):
-                    contraction = np.tensordot(
-                        contraction, others[q].conj(), axes=([q], [0])
-                    )
+                for q in range(n - 1, -1, -1):
+                    if q == p:
+                        continue
+                    # np.tensordot(contraction, units[q], axes=([q], [0])),
+                    # spelled out as its transpose, reshape and dot.
+                    axes = [x for x in range(contraction.ndim) if x != q] + [q]
+                    kept = [contraction.shape[x] for x in axes[:-1]]
+                    mat = contraction.transpose(axes).reshape(-1, dims[q])
+                    contraction = mat.dot(units[q].reshape(dims[q], 1)).reshape(kept)
                 factors[p] = contraction
+                units[p] = (contraction / np.linalg.norm(contraction)).conj()
     return factors
 
 
@@ -390,10 +407,8 @@ def unitary_witness_search(
             raise ShapeError("product-unitary search needs square parties")
     shape = op_set.shape
     full_dim = math.prod(r for r, _ in shape)
-    span_rows = np.stack([m.full_matrix().ravel() for m in op_set.members])
     # Orthonormal basis of the complement inside the full operator space.
-    _, s, vh = np.linalg.svd(span_rows.conj(), full_matrices=True)
-    comp = vh[sv_rank(s, tol) :].conj()
+    comp = complement_rows(kron_rows(op_set), tol)
     if comp.shape[0] == 0:
         return None
 
@@ -452,16 +467,17 @@ def unitary_witness_search(
 
 
 def _all_factors_unitary(op_set: OperatorSet, tol: Tolerance) -> bool:
-    """Every factor unitary after rescaling to Frobenius norm sqrt(dim)."""
-    for r, c in op_set.shape:
-        if r != c:
+    """Every factor unitary after rescaling to Frobenius norm sqrt(dim): each
+    entry of its A^dag A within 10 * tol.eps of the identity's."""
+    if any(r != c for r, c in op_set.shape):
+        return False
+    n = len(op_set)
+    for p, (d, _) in enumerate(op_set.shape):
+        a = party_rows(op_set, p)
+        a = (a * (np.sqrt(d) / np.linalg.norm(a, axis=1))[:, None]).reshape(n, d, d)
+        dev = np.abs(a.conj().transpose(0, 2, 1) @ a - np.eye(d))
+        if dev.max(initial=0.0) > 10 * tol.eps:
             return False
-    for m in op_set.members:
-        for f in m.factors:
-            d = f.shape[0]
-            scaled = f * (np.sqrt(d) / np.linalg.norm(f))
-            if not is_unitary(scaled, Tolerance(tol.eps * 10)):
-                return False
     return True
 
 

@@ -37,6 +37,12 @@ class TestConstruct:
         assert rc == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("name", ["nqubit:x", "weyl:abc"])
+    def test_non_integer_parameter_exit_two(self, name, capsys):
+        rc, _, err = run(capsys, "construct", "--name", name)
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestExport:
     def test_bare_operator_set(self, capsys):
@@ -108,6 +114,28 @@ class TestVerify:
         path.write_text("{not json")
         rc, _, _ = run(capsys, "verify", "--set", str(path))
         assert rc == 2
+
+    def test_directory_exit_two(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "verify", "--set", str(tmp_path))
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entries",
+        [None, [["1", "0"]], [[1.0, 0.0, 2.0]]],
+        ids=["top-level-list", "string-entries", "triples"],
+    )
+    def test_malformed_set_exit_two(self, entries, tmp_path, capsys):
+        if entries is None:
+            obj = [1, 2]
+        else:
+            factor = {"rows": 1, "cols": 1, "entries": entries}
+            obj = {"shape": [[1, 1]], "members": [{"label": "a", "factors": [factor]}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        rc, _, err = run(capsys, "verify", "--set", str(path))
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSimulate:

@@ -1,5 +1,7 @@
 """Tests for the dense matrix kernel."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,12 @@ class TestAsMatrix:
     def test_rejects_inf_imag(self):
         with pytest.raises(ShapeError):
             as_matrix([[1j * np.inf, 0], [0, 0]])
+        with pytest.raises(ShapeError):
+            as_matrix([[complex(0.0, np.inf), 0], [0, 0]])
+
+    def test_accepts_non_contiguous(self):
+        a = random_matrix(2, 3)
+        assert np.array_equal(as_matrix(a.T), a.T)
 
 
 class TestKron:
@@ -199,3 +207,38 @@ class TestJson:
     def test_bad_dims(self):
         with pytest.raises(ShapeError):
             matrix_from_json({"rows": 0, "cols": 2, "entries": []})
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 1), (4, 4)])
+    def test_entries_match_per_entry_reference(self, shape):
+        a = random_matrix(*shape)
+        a[0, 0] = complex(-0.0, 0.0)
+        for m in (a, a.T):  # a.T is not C-contiguous
+            want = [[float(z.real), float(z.imag)] for z in m.ravel()]
+            got = matrix_to_json(m)["entries"]
+            assert json.dumps(got) == json.dumps(want)
+
+    def test_round_trip_is_exact(self):
+        a = random_matrix(3, 4)
+        back = matrix_from_json(json.loads(json.dumps(matrix_to_json(a))))
+        assert np.array_equal(back.view(float), a.view(float))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rows": 1, "cols": 1, "entries": [["1", "0"]]},
+            {"rows": 1, "cols": 1, "entries": [[True, False]]},
+            {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [False, 1.0]]},
+            {"rows": 1, "cols": 1, "entries": [[1.0, 0.0, 2.0]]},
+            {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [2.0]]},
+            {"rows": 1, "cols": 1, "entries": [[None, 0.0]]},
+            {"rows": 1, "cols": 1, "entries": "1+0j"},
+            {"rows": "1", "cols": 1, "entries": [[1.0, 0.0]]},
+            {"rows": True, "cols": 1, "entries": [[1.0, 0.0]]},
+            [[1.0, 0.0]],
+        ],
+        ids=["strings", "bools", "bool-among-numbers", "triple", "ragged", "null",
+             "string", "string-rows", "bool-rows", "not-an-object"],
+    )
+    def test_rejects_malformed_entries(self, obj):
+        with pytest.raises(ShapeError):
+            matrix_from_json(obj)

@@ -1,10 +1,13 @@
 """Tests for product operators, operator sets, and the vector correspondence."""
 
+import json
+
 import numpy as np
 import pytest
 
-from upoblab.errors import EmptyInputError, ShapeError
-from upoblab.matrix import hs_inner
+from upoblab.catalog import construct_by_name
+from upoblab.errors import EmptyInputError, ShapeError, SizeError
+from upoblab.matrix import MAX_PRODUCT_DIM, hs_inner
 from upoblab.product import (
     IndexSet,
     OperatorSet,
@@ -13,7 +16,9 @@ from upoblab.product import (
     check_pairwise_orthogonal,
     gram,
     k_orthonormal,
+    kron_rows,
     matrix_to_vector,
+    party_rows,
     product_vector_set,
     row_major_index_set,
     upb_to_upob,
@@ -89,6 +94,71 @@ class TestOperatorSet:
         for m, n in zip(s.members, back.members):
             for f, g in zip(m.factors, n.factors):
                 assert np.allclose(f, g)
+
+
+    @pytest.mark.parametrize(
+        "name", ["u2", "nqubit:3", "lift:2", "example2", "example1-upb"]
+    )
+    def test_json_text_round_trip_is_exact(self, name):
+        s = construct_by_name(name)
+        back = OperatorSet.from_json(json.loads(json.dumps(s.to_json())))
+        assert back.shape == s.shape
+        assert back.labels() == s.labels()
+        for m, n in zip(s.members, back.members):
+            for f, g in zip(m.factors, n.factors):
+                assert f.shape == g.shape
+                f, g = f.view(float), g.view(float)
+                assert np.array_equal(f, g)
+                assert np.array_equal(np.signbit(f), np.signbit(g))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [],
+            {"shape": [[1, 1]], "members": {"label": "a"}},
+            {"shape": [[1, 1]], "members": ["a"]},
+            {"shape": [[1, 1]], "members": [{"label": "a", "factors": "f"}]},
+            {"shape": [[1, 1]], "members": [{"label": ["a"], "factors": []}]},
+            {"shape": "ab", "members": []},
+            {"shape": 3, "members": []},
+        ],
+        ids=["list", "members-object", "member-string", "factors-string",
+             "label-list", "shape-string", "shape-number"],
+    )
+    def test_from_json_rejects_malformed_structure(self, obj):
+        with pytest.raises(ShapeError):
+            OperatorSet.from_json(obj)
+
+
+class TestPartyStacks:
+    SHAPES = [
+        ((2, 2),) * 3,
+        ((3, 3), (2, 2)),
+        ((2, 1), (3, 1)),
+        ((1, 3), (2, 2), (2, 1)),
+    ]
+    IDS = ["2x2^3", "3x3.2x2", "vectors", "mixed"]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
+    def test_rows_are_vectorized_factors(self, shape):
+        s = random_set(5, shape)
+        for p in range(len(shape)):
+            want = np.stack([m.factors[p].ravel() for m in s.members])
+            assert np.array_equal(party_rows(s, p), want)
+        r, c = shape[0]
+        assert party_rows(OperatorSet(shape, ()), 0).shape == (0, r * c)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
+    def test_kron_rows_match_np_kron_bitwise(self, shape):
+        s = random_set(6, shape)
+        want = np.stack([m.full_matrix().ravel() for m in s.members])
+        assert np.array_equal(kron_rows(s), want)
+
+    def test_kron_rows_size_cap(self):
+        big = MAX_PRODUCT_DIM // 2 + 1
+        s = OperatorSet(((big, 1), (2, 1)), ())
+        with pytest.raises(SizeError):
+            kron_rows(s)
 
 
 class TestGram:

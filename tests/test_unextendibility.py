@@ -1,11 +1,13 @@
 """Tests for the hyperplane-cover search, witnesses, and classification."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from upoblab.catalog import (
+    construct_by_name,
     example1_upb,
     example1_upob,
     example_upuob_2x3,
@@ -14,7 +16,13 @@ from upoblab.catalog import (
 )
 from upoblab.errors import ConfigError, NoWitnessError, ShapeError
 from upoblab.matrix import Tolerance, is_unitary, numeric_rank
-from upoblab.product import OperatorSet, ProductOperator, product_vector_set
+from upoblab.product import (
+    OperatorSet,
+    ProductOperator,
+    check_pairwise_orthogonal,
+    gram,
+    product_vector_set,
+)
 from upoblab import unextend
 from upoblab.unextend import (
     EXTENDIBLE,
@@ -246,10 +254,13 @@ class TestThreePartyOracle:
 
 
 class TestNQubitFamily:
-    @pytest.mark.parametrize("n", [4, 5])
+    NODES = {3: 139, 4: 629, 5: 6411}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_unextendible(self, n):
         v = extendibility_search(nqubit_strong_upuob(n))
         assert v.status == UNEXTENDIBLE
+        assert v.nodes_explored == self.NODES[n]
 
     def test_leave_one_out_extendible(self):
         s = nqubit_strong_upuob(4)
@@ -257,6 +268,29 @@ class TestNQubitFamily:
             v = extendibility_search(drop(s, label))
             assert v.status == EXTENDIBLE
             assert verify_witness(v.witness, drop(s, label))
+
+
+class TestRootBound:
+    def test_generic_three_qubit_operator_sets_pruned_at_root(self):
+        # A hyperplane of a 4-dim party holds at most 3 generic directions,
+        # so three parties cover at most 9 members: the search stops at the
+        # root, after listing the C(n, 3) direction triples of each party.
+        rng = np.random.default_rng(0x6E0)
+        shape = ((2, 2),) * 3
+        for n in (10, 11, 12, 13) * 2:
+            members = tuple(
+                ProductOperator(
+                    tuple(
+                        rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                        for _ in shape
+                    ),
+                    f"g_{j}",
+                )
+                for j in range(n)
+            )
+            v = extendibility_search(OperatorSet(shape, members))
+            assert v.status == UNEXTENDIBLE
+            assert v.nodes_explored == 3 * math.comb(n, 3)
 
 
 def generic_3x3_pair(n):
@@ -373,6 +407,116 @@ class TestUnitaryWitnessSearch:
         s = product_vector_set([([1, 0], [0, 1])])
         with pytest.raises(ShapeError):
             unitary_witness_search(s)
+
+
+def reference_product_factorization(vec, shape, iters=40):
+    """The alternating least squares as first written: every factor
+    normalized at every update, contractions by np.tensordot."""
+    dims = [r * c for r, c in shape]
+    n = len(dims)
+    t = vec.reshape(dims)
+    factors = []
+    rest = t
+    for p in range(n - 1):
+        u, s, vh = np.linalg.svd(rest.reshape(dims[p], -1), full_matrices=False)
+        factors.append(u[:, 0] * s[0])
+        rest = vh[0]
+    factors.append(rest.copy())
+    for _ in range(iters):
+        for p in range(n):
+            others = [factors[q] / np.linalg.norm(factors[q]) for q in range(n)]
+            contraction = t
+            for q in sorted((x for x in range(n) if x != p), reverse=True):
+                contraction = np.tensordot(
+                    contraction, others[q].conj(), axes=([q], [0])
+                )
+            factors[p] = contraction
+    return factors
+
+
+class TestProductFactorization:
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            ((2, 2),) * 3,
+            ((2, 2),) * 4,
+            ((3, 3), (2, 2), (2, 1)),
+            ((2, 1), (3, 3), (2, 2), (1, 2)),
+        ],
+        ids=["2x2^3", "2x2^4", "mixed3", "mixed4"],
+    )
+    def test_matches_reference_bitwise(self, shape):
+        rng = np.random.default_rng(0xA15)
+        size = math.prod(r * c for r, c in shape)
+        for _ in range(5):
+            vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+            got = unextend._product_factorization(vec, shape)
+            want = reference_product_factorization(vec, shape)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def reference_all_factors_unitary(op_set, tol):
+    """Per-factor loop: each factor rescaled to norm sqrt(d), then is_unitary."""
+    if any(r != c for r, c in op_set.shape):
+        return False
+    return all(
+        is_unitary(
+            f * (np.sqrt(f.shape[0]) / np.linalg.norm(f)), Tolerance(tol.eps * 10)
+        )
+        for m in op_set.members
+        for f in m.factors
+    )
+
+
+def reference_pairwise_orthogonal(op_set, tol):
+    """Gram entries divided by the product of per-member norms."""
+    norms = np.array([m.norm() for m in op_set.members])
+    g = gram(op_set) / np.outer(norms, norms)
+    return bool(np.abs(g - np.diag(np.diag(g))).max() <= tol.eps)
+
+
+class TestStackedChecks:
+    NAMES = ("u2", "qutrit-uuo", "weyl:3", "lift:2", "example2", "example1-upob",
+             "example1-upb", "nqubit:3")  # fmt: skip
+
+    def test_match_per_factor_references(self):
+        # Members are perturbed at scales from 1e-12 to 1e-6 and rescaled, so
+        # both checks see sets on both sides of their tolerances.
+        rng = np.random.default_rng(0x57AC)
+
+        def gaussian(shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        bases = [construct_by_name(name) for name in self.NAMES]
+        tol = Tolerance()
+        seen = {True: 0, False: 0}
+        for i in range(504):
+            base = bases[i % len(bases)]
+            scale = 10.0 ** rng.uniform(-12, -6)
+            hit = rng.random(len(base)) < 0.3
+            members = tuple(
+                ProductOperator(
+                    tuple(
+                        (f + scale * hit[j] * gaussian(f.shape))
+                        * complex(*rng.uniform(0.5, 2.0, size=2))
+                        for f in m.factors
+                    ),
+                    m.label,
+                )
+                for j, m in enumerate(base.members)
+            )
+            s = OperatorSet(base.shape, members)
+            unitary = unextend._all_factors_unitary(s, tol)
+            orthogonal = check_pairwise_orthogonal(s, tol)
+            assert unitary == reference_all_factors_unitary(s, tol)
+            assert orthogonal == reference_pairwise_orthogonal(s, tol)
+            seen[unitary] += 1
+            seen[orthogonal] += 1
+        assert min(seen.values()) > 100
+
+    def test_unitary_check_takes_large_tolerances(self):
+        # 10 * eps is compared directly, not built as a Tolerance.
+        assert unextend._all_factors_unitary(u2_strong_upuob(), Tolerance(0.5))
 
 
 class TestClassify:
