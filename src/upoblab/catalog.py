@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidBaseError, InvalidWitnessError
-from .matrix import DEFAULT_TOL, Tolerance, as_matrix, kron_all
+from .errors import ConfigError, InvalidBaseError, InvalidWitnessError, SizeError
+from .matrix import DEFAULT_TOL, MAX_SET_ENTRIES, Tolerance, as_matrix, kron_all
 from .product import (
     OperatorSet,
     ProductOperator,
@@ -73,6 +73,14 @@ class LiftParams:
         return self.base.shape[0][0]
 
 
+def _check_set_size(name: str, members: int, entries_per_member: int):
+    """Refuse a family whose closed-form size is over ``MAX_SET_ENTRIES``."""
+    if members * entries_per_member > MAX_SET_ENTRIES:
+        raise SizeError(
+            f"{name} exceeds the cap of {MAX_SET_ENTRIES} matrix entries"
+        )
+
+
 def _single_party(members, dim, labels) -> OperatorSet:
     ops = tuple(
         ProductOperator((as_matrix(m),), label) for m, label in zip(members, labels)
@@ -112,6 +120,10 @@ def nqubit_strong_upuob(n: int) -> OperatorSet:
     """The n-party family sigma_a1 x ... x sigma_a(n-2) x U_i, 3*4^(n-1) members."""
     if n < 2:
         raise ConfigError(f"the n-qubit family needs n >= 2, got {n}")
+    # Past the cap's bit length 4^(n-1) alone is over the cap, so clamping the
+    # exponent there refuses a huge n without computing its power.
+    members = 3 * 4 ** min(n - 1, MAX_SET_ENTRIES.bit_length())
+    _check_set_size(f"nqubit:{n}", members, 4 * n)
     base = u2_strong_upuob()
     if n == 2:
         return base
@@ -153,6 +165,7 @@ def weyl_heisenberg(d: int) -> OperatorSet:
     """All d^2 operators U_{n,m} = sum_k w_d^{kn} |k+m><k| (indices mod d)."""
     if d < 2:
         raise ConfigError(f"weyl_heisenberg needs d >= 2, got {d}")
+    _check_set_size(f"weyl:{d}", d * d, d * d)
     w = omega(d)
     members, labels = [], []
     for n in range(d):
@@ -185,6 +198,8 @@ def lift_uuo(p: LiftParams) -> OperatorSet:
     two-party set over M_{q,q} x M_{d,d}; cardinality q^2 d^2 - q d^2 + q N.
     """
     q, d = p.q, p.d
+    members = q * q * d * d - q * d * d + q * len(p.base)
+    _check_set_size(f"lift:{q}", members, q * q + d * d)
     w = clock_matrix(q)
     shift = shift_matrix(q)
     weyl = weyl_heisenberg(d) if q > 1 else None

@@ -2,12 +2,14 @@
 
 Subcommands: construct, verify, simulate, export.  Exit codes: 0 success,
 1 negative finding, 2 usage error, 3 inconclusive (budget exhausted).
-Reports are JSON envelopes echoing their inputs for reproducibility.
+Reports are single-line JSON envelopes echoing their inputs for
+reproducibility.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -42,7 +44,7 @@ def _envelope(command: str, inputs: dict, tol: Tolerance, result) -> dict:
 
 
 def _emit(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -118,7 +120,10 @@ def cmd_simulate(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing fills a new
+    namespace on every call and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="upoblab",
         description="Construct, certify and simulate unextendible product operator bases",

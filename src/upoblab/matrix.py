@@ -25,6 +25,10 @@ from .errors import (
 #: Hard cap on the row/column count of any kron result.
 MAX_PRODUCT_DIM = 4096
 
+#: Hard cap on the factor entries (members times entries per member) of a
+#: catalog family, checked before any member is built.
+MAX_SET_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -176,27 +180,50 @@ def matrix_to_json(a) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of ``matrix_to_json``.  ``entries`` must be rows*cols pairs of
-    JSON numbers; anything else raises ShapeError."""
-    if not isinstance(obj, dict):
-        raise ShapeError(f"a matrix must be a JSON object, got {type(obj).__name__}")
-    rows, cols = obj["rows"], obj["cols"]
-    for n in (rows, cols):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n <= 0:
-            raise ShapeError(f"matrix dimensions must be positive integers, got {n!r}")
+def matrices_from_json(objs: Sequence) -> np.ndarray:
+    """Inverse of ``matrix_to_json`` on a list of matrices of one shape, as
+    one array of shape (len(objs), rows, cols).  Each ``entries`` must be
+    rows*cols pairs of finite JSON numbers; anything else raises ShapeError.
+    """
+    if len(objs) == 0:
+        raise EmptyInputError("need at least one matrix")
+    for obj in objs:
+        if not isinstance(obj, dict):
+            raise ShapeError(
+                f"a matrix must be a JSON object, got {type(obj).__name__}"
+            )
+    dims = [(obj["rows"], obj["cols"]) for obj in objs]
+    flat = list(itertools.chain.from_iterable(dims))
+    # By type first: a JSON boolean is an int equal to 0 or 1.
+    if set(map(type, flat)) != {int} or min(flat) <= 0:
+        for n in flat:
+            if type(n) is bool or not isinstance(n, (int, np.integer)) or n <= 0:
+                raise ShapeError(
+                    f"matrix dimensions must be positive integers, got {n!r}"
+                )
+    if len(set(dims)) > 1:
+        raise ShapeError(f"matrices of one stack differ in shape: {sorted(set(dims))}")
+    rows, cols = dims[0]
+    lists = [obj["entries"] for obj in objs]
     try:
-        entries = np.asarray(obj["entries"])
+        entries = np.asarray(lists)
     except ValueError as exc:
         raise ShapeError(f"matrix entries do not form an array: {exc}") from None
-    if entries.shape != (rows * cols, 2):
+    if entries.shape != (len(objs), rows * cols, 2):
         raise ShapeError(
-            f"entries of shape {entries.shape} are not {rows}x{cols} [re, im] pairs"
+            f"entries of shape {entries.shape[1:]} are not {rows}x{cols} [re, im] pairs"
         )
     # Kinds i, u and f are the integer and float dtypes.  A JSON boolean
     # among numbers is promoted to a number, so it is looked for directly.
-    types = set(map(type, itertools.chain(*obj["entries"])))
-    if entries.dtype.kind not in "iuf" or bool in types:
+    numbers = itertools.chain.from_iterable(itertools.chain.from_iterable(lists))
+    if entries.dtype.kind not in "iuf" or bool in set(map(type, numbers)):
         raise ShapeError("matrix entries must be real numbers")
-    flat = np.ascontiguousarray(entries, dtype=float).view(complex)
-    return as_matrix(flat.reshape(rows, cols))
+    stack = np.ascontiguousarray(entries, dtype=float).view(complex)
+    if not np.isfinite(stack).all():
+        raise ShapeError("matrix contains NaN or Inf entries")
+    return stack.reshape(len(objs), rows, cols)
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    """Inverse of ``matrix_to_json``: ``matrices_from_json`` of one matrix."""
+    return matrices_from_json([obj])[0]

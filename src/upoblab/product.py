@@ -23,7 +23,7 @@ from .matrix import (
     frobenius_norm,
     hs_inner,
     kron_all,
-    matrix_from_json,
+    matrices_from_json,
     matrix_to_json,
 )
 
@@ -33,7 +33,7 @@ PartyShape = tuple[tuple[int, int], ...]
 def validate_party_shape(shape: Sequence[Sequence[int]]) -> PartyShape:
     try:
         shape = tuple((int(r), int(c)) for r, c in shape)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ShapeError(
             f"a party shape is a list of [rows, cols] pairs, got {shape!r}"
         ) from None
@@ -61,6 +61,15 @@ class ProductOperator:
                 raise ShapeError(f"zero factor in product operator {self.label!r}")
             f.setflags(write=False)
         object.__setattr__(self, "factors", factors)
+
+    @classmethod
+    def _checked(cls, factors: tuple[np.ndarray, ...], label: str) -> "ProductOperator":
+        """A member from factors that already pass ``__post_init__``'s checks
+        and are read-only, built without checking them again."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "factors", factors)
+        object.__setattr__(op, "label", label)
+        return op
 
     @property
     def party_shape(self) -> PartyShape:
@@ -127,18 +136,42 @@ class OperatorSet:
 
     @staticmethod
     def from_json(obj: dict) -> "OperatorSet":
+        """Inverse of ``to_json``.  Each party's factors are read and checked
+        as one ``matrices_from_json`` stack, then split into the members."""
         if not isinstance(obj, dict) or not isinstance(obj["members"], list):
             raise ShapeError("an operator set is a JSON object with a members list")
         shape = validate_party_shape(obj["shape"])
-        members = []
+        labels, factor_lists = [], []
         for m in obj["members"]:
             if not isinstance(m, dict) or not isinstance(m["factors"], list):
                 raise ShapeError("a member is a JSON object with a factors list")
             if not isinstance(m["label"], str):
                 raise ShapeError(f"member labels are strings, got {m['label']!r}")
-            factors = tuple(matrix_from_json(f) for f in m["factors"])
-            members.append(ProductOperator(factors, m["label"]))
-        return OperatorSet(shape, tuple(members))
+            if len(m["factors"]) != len(shape):
+                raise ShapeError(
+                    f"member {m['label']!r} has {len(m['factors'])} factors "
+                    f"for {len(shape)} parties"
+                )
+            labels.append(m["label"])
+            factor_lists.append(m["factors"])
+        if not labels:
+            return OperatorSet(shape, ())
+        stacks = []
+        for p in range(len(shape)):
+            stack = matrices_from_json([factors[p] for factors in factor_lists])
+            # The zero rule of ProductOperator, one norm per factor.
+            zero = np.flatnonzero(np.linalg.norm(stack, axis=(1, 2)) == 0.0)
+            if zero.size:
+                raise ShapeError(
+                    f"zero factor in product operator {labels[zero[0]]!r}"
+                )
+            stack.setflags(write=False)
+            stacks.append(stack)
+        members = tuple(
+            ProductOperator._checked(factors, label)
+            for label, factors in zip(labels, zip(*stacks))
+        )
+        return OperatorSet(shape, members)
 
 
 @dataclass(frozen=True)

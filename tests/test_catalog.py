@@ -22,8 +22,13 @@ from upoblab.catalog import (
     u2_strong_upuob,
     weyl_heisenberg,
 )
-from upoblab.errors import ConfigError, InvalidBaseError, InvalidWitnessError
-from upoblab.matrix import Tolerance, is_unitary
+from upoblab.errors import (
+    ConfigError,
+    InvalidBaseError,
+    InvalidWitnessError,
+    SizeError,
+)
+from upoblab.matrix import MAX_SET_ENTRIES, Tolerance, is_unitary
 from upoblab.product import (
     check_orthonormal,
     check_pairwise_orthogonal,
@@ -63,6 +68,33 @@ class TestNQubit:
     def test_bad_n(self):
         with pytest.raises(ConfigError):
             nqubit_strong_upuob(1)
+
+
+class TestSizeCap:
+    """Each family's largest member builds; the next size up is refused."""
+
+    @staticmethod
+    def entries(s):
+        return len(s) * sum(r * c for r, c in s.shape)
+
+    @pytest.mark.parametrize(
+        "largest, refused",
+        [("nqubit:7", "nqubit:8"), ("weyl:32", "weyl:33"), ("lift:18", "lift:19")],
+    )
+    def test_boundary(self, largest, refused):
+        assert self.entries(construct_by_name(largest)) <= MAX_SET_ENTRIES
+        with pytest.raises(SizeError):
+            construct_by_name(refused)
+
+    def test_nqubit6_builds(self):
+        s = construct_by_name("nqubit:6")
+        assert len(s) == 3 * 4**5
+
+    @pytest.mark.parametrize("name", ["nqubit:40", "nqubit:" + "9" * 4000,
+                                      "weyl:100000", "lift:100000"])
+    def test_huge_parameters_refused(self, name):
+        with pytest.raises(SizeError):
+            construct_by_name(name)
 
 
 class TestGolden:

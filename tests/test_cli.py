@@ -1,13 +1,22 @@
 """Tests for the command-line interface, run in process."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from upoblab import __version__, cli
+from upoblab.catalog import construct_by_name
 from upoblab.cli import main
 from upoblab.matrix import matrix_to_json
 from upoblab.product import OperatorSet
+from upoblab.unextend import (
+    DEFAULT_BUDGET,
+    DEFAULT_ITERS,
+    DEFAULT_RESTARTS,
+    DEFAULT_SEED,
+)
 
 
 def run(capsys, *argv):
@@ -42,6 +51,40 @@ class TestConstruct:
         rc, _, err = run(capsys, "construct", "--name", name)
         assert rc == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["nqubit:40", "weyl:100000", "lift:100000"])
+    def test_oversized_family_exit_two_without_allocating(self, name, capsys):
+        tracemalloc.start()
+        try:
+            rc, _, err = run(capsys, "construct", "--name", name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "cap" in err
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("name", ["u2", "example2"])
+    def test_report_is_one_line(self, name, tmp_path, capsys):
+        path = tmp_path / "set.json"
+        rc, _, _ = run(capsys, "construct", "--name", name, "--out", str(path))
+        assert rc == 0
+        text = path.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        # The indented report of earlier versions holds the same JSON value.
+        indented = json.dumps(
+            {
+                "command": "construct",
+                "inputs": {"name": name, "base": None},
+                "tolerance": {"eps": 1e-9},
+                "result": construct_by_name(name).to_json(),
+                "version": __version__,
+            },
+            indent=2,
+        )
+        assert json.loads(text) == json.loads(indented)
+        assert text == json.dumps(json.loads(indented)) + "\n"
 
 
 class TestExport:
@@ -159,6 +202,59 @@ class TestSimulate:
 
 
 class TestParser:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The keyword arguments of every classify call the CLI makes."""
+        seen = []
+        real = cli.classify
+
+        def recording(op_set, tol, **kwargs):
+            seen.append(kwargs)
+            return real(op_set, tol, **kwargs)
+
+        monkeypatch.setattr(cli, "classify", recording)
+        return seen
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_keeps_defaults(self, tmp_path, capsys, calls):
+        path = tmp_path / "u2.json"
+        run(capsys, "construct", "--name", "u2", "--out", str(path))
+        defaults = {
+            "budget": DEFAULT_BUDGET,
+            "restarts": DEFAULT_RESTARTS,
+            "iters": DEFAULT_ITERS,
+            "seed": DEFAULT_SEED,
+        }
+        rc, out, _ = run(capsys, "verify", "--set", str(path), "--budget", "10")
+        assert rc == 3
+        assert json.loads(out)["inputs"]["budget"] == 10
+        rc, out, _ = run(capsys, "verify", "--set", str(path))
+        assert rc == 0
+        assert json.loads(out)["inputs"]["budget"] == DEFAULT_BUDGET
+        assert calls[-1] == defaults
+        for flag, value in (("--restarts", 3), ("--iters", 7), ("--seed", 11)):
+            rc, _, _ = run(capsys, "verify", "--set", str(path), flag, str(value))
+            assert rc == 0
+            assert calls[-1] == {**defaults, flag[2:]: value}
+            rc, _, _ = run(capsys, "verify", "--set", str(path))
+            assert rc == 0
+            assert calls[-1] == defaults
+
+    def test_construct_after_verify_gets_its_defaults(self, tmp_path, capsys):
+        path = tmp_path / "u2.json"
+        report = tmp_path / "report.json"
+        run(capsys, "construct", "--name", "u2", "--out", str(path))
+        rc, _, _ = run(capsys, "verify", "--set", str(path), "--tol", "1e-6",
+                       "--seed", "5", "--json", str(report))
+        assert rc == 0
+        rc, out, _ = run(capsys, "construct", "--name", "u2")
+        assert rc == 0
+        obj = json.loads(out)  # printed, so --out is back to None
+        assert obj["inputs"] == {"name": "u2", "base": None}
+        assert obj["tolerance"] == {"eps": 1e-9}
+
     def test_no_subcommand_exit_two(self, capsys):
         assert run(capsys, )[0] == 2
 

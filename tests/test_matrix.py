@@ -22,6 +22,7 @@ from upoblab.matrix import (
     is_unitary,
     kron,
     kron_all,
+    matrices_from_json,
     matrix_from_json,
     matrix_to_json,
     nearest_unitary,
@@ -242,3 +243,37 @@ class TestJson:
     def test_rejects_malformed_entries(self, obj):
         with pytest.raises(ShapeError):
             matrix_from_json(obj)
+
+
+class TestStackedJson:
+    def test_stack_equals_single_matrices(self):
+        objs = [json.loads(json.dumps(matrix_to_json(random_matrix(2, 3))))
+                for _ in range(5)]
+        stack = matrices_from_json(objs)
+        assert stack.shape == (5, 2, 3)
+        for obj, m in zip(objs, stack):
+            assert np.array_equal(m.view(float), matrix_from_json(obj).view(float))
+
+    def test_empty_stack(self):
+        with pytest.raises(EmptyInputError):
+            matrices_from_json([])
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            {"rows": 2, "cols": 1, "entries": [[1.0, 0.0], [0.0, 0.0]]},
+            {"rows": True, "cols": 2, "entries": [[1.0, 0.0], [0.0, 0.0]]},
+            {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [0.0, float("nan")]]},
+            {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [True, 0.0]]},
+            {"rows": 1, "cols": 2, "entries": [[1.0, 0.0]]},
+            {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [0.0, 0.0, 0.0]]},
+            [[1.0, 0.0], [0.0, 0.0]],
+        ],
+        ids=["other-shape", "bool-rows", "nan", "bool-entry", "short", "triple",
+             "not-an-object"],
+    )
+    def test_one_bad_matrix_rejects_the_stack(self, second):
+        first = {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}
+        matrices_from_json([first, first])
+        with pytest.raises(ShapeError):
+            matrices_from_json([first, second, first])

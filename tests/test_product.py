@@ -7,7 +7,7 @@ import pytest
 
 from upoblab.catalog import construct_by_name
 from upoblab.errors import EmptyInputError, ShapeError, SizeError
-from upoblab.matrix import MAX_PRODUCT_DIM, hs_inner
+from upoblab.matrix import MAX_PRODUCT_DIM, hs_inner, matrix_from_json
 from upoblab.product import (
     IndexSet,
     OperatorSet,
@@ -128,6 +128,74 @@ class TestOperatorSet:
     def test_from_json_rejects_malformed_structure(self, obj):
         with pytest.raises(ShapeError):
             OperatorSet.from_json(obj)
+
+
+def from_json_per_factor(obj):
+    """Reference loader: each factor read alone and checked by ProductOperator."""
+    members = tuple(
+        ProductOperator(tuple(matrix_from_json(f) for f in m["factors"]), m["label"])
+        for m in obj["members"]
+    )
+    return OperatorSet(tuple(map(tuple, obj["shape"])), members)
+
+
+class TestStackedFromJson:
+    @pytest.mark.parametrize(
+        "name", ["u2", "nqubit:4", "qutrit-uuo", "lift:3", "example2", "example1-upb"]
+    )
+    def test_matches_per_factor_reference(self, name):
+        obj = json.loads(json.dumps(construct_by_name(name).to_json()))
+        got, want = OperatorSet.from_json(obj), from_json_per_factor(obj)
+        assert got.shape == want.shape and got.labels() == want.labels()
+        for m, n in zip(got.members, want.members):
+            for f, g in zip(m.factors, n.factors):
+                assert f.dtype == g.dtype and f.shape == g.shape
+                assert np.array_equal(f.view(float), g.view(float))
+                assert np.array_equal(np.signbit(f.view(float)), np.signbit(g.view(float)))
+                assert not f.flags.writeable
+
+    def test_rejects_infinite_shape(self):
+        # json.load reads the literal Infinity as a float, and int() of it
+        # raises OverflowError.
+        with pytest.raises(ShapeError):
+            OperatorSet.from_json({"shape": [[float("inf"), 1]], "members": []})
+
+    def test_empty_member_list(self):
+        s = OperatorSet.from_json({"shape": [[2, 2]], "members": []})
+        assert len(s) == 0 and s.shape == ((2, 2),)
+
+    @staticmethod
+    def two_members():
+        obj = json.loads(json.dumps(random_set(2, ((2, 2), (1, 3))).to_json()))
+        return obj, obj["members"][1]
+
+    def test_rejects_zero_factor(self):
+        obj, m = self.two_members()
+        m["factors"][1]["entries"] = [[0.0, -0.0]] * 3
+        with pytest.raises(ShapeError, match="m_1"):
+            OperatorSet.from_json(obj)
+        with pytest.raises(ShapeError):
+            from_json_per_factor(obj)
+
+    @pytest.mark.parametrize(
+        "defect", ["factor-count", "no-factors", "other-shape", "nan", "duplicate-label"]
+    )
+    def test_rejects_like_the_reference(self, defect):
+        obj, m = self.two_members()
+        if defect == "factor-count":
+            m["factors"].append(m["factors"][0])
+        elif defect == "no-factors":
+            m["factors"] = []
+        elif defect == "other-shape":
+            m["factors"][1] = {"rows": 3, "cols": 1, "entries": m["factors"][1]["entries"]}
+        elif defect == "nan":
+            m["factors"][0]["entries"][2][1] = float("nan")
+        else:
+            m["label"] = obj["members"][0]["label"]
+        with pytest.raises(ShapeError):
+            OperatorSet.from_json(obj)
+        with pytest.raises(ShapeError):
+            from_json_per_factor(obj)
 
 
 class TestPartyStacks:
