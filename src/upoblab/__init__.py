@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .matrix import (
     DEFAULT_TOL,
     Tolerance,
-    complement_basis,
     hs_inner,
     is_unitary,
     kron,
@@ -19,12 +18,10 @@ from .product import (
     ProductOperator,
     check_orthonormal,
     gram,
-    k_orthonormal,
     product_vector_set,
     row_major_index_set,
     upb_to_upob,
     vector_to_matrix,
-    vectorize_set,
 )
 from .unextend import (
     Classification,
@@ -36,7 +33,6 @@ from .unextend import (
     verify_witness,
 )
 from .catalog import (
-    GoldenParams,
     LiftParams,
     antisym_witness_2x3,
     example1_upb,

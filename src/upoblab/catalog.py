@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidBaseError, InvalidWitnessError, SizeError
-from .matrix import DEFAULT_TOL, MAX_SET_ENTRIES, Tolerance, as_matrix, kron_all
+from .matrix import MAX_SET_ENTRIES, as_matrix, kron_all
 from .product import (
     OperatorSet,
     ProductOperator,
@@ -36,17 +36,10 @@ def omega(k: int) -> complex:
     return complex(math.cos(2 * math.pi / k), math.sin(2 * math.pi / k))
 
 
-@dataclass(frozen=True)
-class GoldenParams:
-    """Golden ratio and the phase with cos(theta) = -7/8 (positive sine)."""
-
-    phi: float = (1.0 + math.sqrt(5.0)) / 2.0
-    cos_theta: float = -7.0 / 8.0
-    sin_theta: float = math.sqrt(15.0) / 8.0
-
-    @property
-    def phase(self) -> complex:
-        return complex(self.cos_theta, self.sin_theta)
+#: The golden ratio, and the phase e^{i theta} with cos(theta) = -7/8 and
+#: positive sine, of the qutrit UUO set.
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+GOLDEN_PHASE = complex(-7.0 / 8.0, math.sqrt(15.0) / 8.0)
 
 
 @dataclass(frozen=True)
@@ -55,7 +48,6 @@ class LiftParams:
 
     q: int
     base: OperatorSet
-    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self):
         if self.q < 1:
@@ -65,7 +57,7 @@ class LiftParams:
         r, c = self.base.shape[0]
         if r != c:
             raise InvalidBaseError("the base set must have square factors")
-        if not check_orthonormal(self.base, self.tol):
+        if not check_orthonormal(self.base):
             raise InvalidBaseError("the base set fails the orthonormality check")
 
     @property
@@ -136,26 +128,24 @@ def nqubit_strong_upuob(n: int) -> OperatorSet:
     return OperatorSet(((2, 2),) * n, tuple(members))
 
 
-def golden_states(g: GoldenParams | None = None) -> list[np.ndarray]:
+def golden_states() -> list[np.ndarray]:
     """The six qutrit states with pairwise overlap-squared 1/5."""
-    g = g or GoldenParams()
-    norm = 1.0 / math.sqrt(1.0 + g.phi**2)
+    norm = 1.0 / math.sqrt(1.0 + PHI**2)
     out = []
     for base_idx in range(3):
         for sign in (+1.0, -1.0):
             v = np.zeros(3, dtype=complex)
             v[base_idx] = 1.0
-            v[(base_idx + 1) % 3] = sign * g.phi
+            v[(base_idx + 1) % 3] = sign * PHI
             out.append(norm * v)
     return out
 
 
-def qutrit_uuo_set(g: GoldenParams | None = None) -> OperatorSet:
+def qutrit_uuo_set() -> OperatorSet:
     """Six 3x3 unitaries I - (1 - e^{i theta}) |psi_s><psi_s|."""
-    g = g or GoldenParams()
-    coeff = 1.0 - g.phase
+    coeff = 1.0 - GOLDEN_PHASE
     members = []
-    for s, psi in enumerate(golden_states(g)):
+    for s, psi in enumerate(golden_states()):
         proj = np.outer(psi, psi.conj())
         members.append(np.eye(3, dtype=complex) - coeff * proj)
     return _single_party(members, 3, [f"U_{s + 1}" for s in range(6)])
@@ -221,13 +211,13 @@ def lift_uuo(p: LiftParams) -> OperatorSet:
     return OperatorSet(((q, q), (d, d)), tuple(members))
 
 
-def example_upuob_2x3(g: GoldenParams | None = None) -> OperatorSet:
+def example_upuob_2x3() -> OperatorSet:
     """The 30-member set {xi_pm x U_{n,m}, eta_pm x U_s} on M_2,2 x M_3,3.
 
     It is the q = 2 lift of the qutrit UUO set, with xi_+ = P, xi_- = WP,
     eta_+ = I and eta_- = W; Weyl indices run 1..3, index 0 written as 3.
     """
-    lift = {m.label: m for m in lift_uuo(LiftParams(2, qutrit_uuo_set(g))).members}
+    lift = {m.label: m for m in lift_uuo(LiftParams(2, qutrit_uuo_set())).members}
     signs = list(enumerate("+-"))
     weyl = [
         lift[f"U_{n % 3},{m % 3}^({s},1)"].relabel(f"U_{n},{m}^{sign}")

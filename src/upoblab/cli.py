@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .catalog import construct_by_name
 from .errors import UpoblabError
-from .matrix import Tolerance
+from .matrix import DEFAULT_TOL, Tolerance
 from .product import OperatorSet
 from .unextend import (
     DEFAULT_BUDGET,
@@ -57,7 +57,7 @@ def cmd_construct(args) -> int:
     payload = _envelope(
         "construct",
         {"name": args.name, "base": args.base},
-        Tolerance(args.tol),
+        DEFAULT_TOL,
         op_set.to_json(),
     )
     _emit(payload, args.out)
@@ -131,26 +131,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="absolute tolerance")
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-
     p = sub.add_parser("construct", help="emit a catalog operator set as JSON")
-    common(p)
     p.add_argument("--name", required=True)
     p.add_argument("--base", default=None, help="base set for lift:q")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("export", help="emit an OperatorSet JSON without envelope")
-    common(p)
     p.add_argument("--set", required=True, help="catalog name")
     p.add_argument("--base", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("verify", help="classify an operator set file")
-    common(p)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL.eps, help="absolute tolerance")
+    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     p.add_argument("--set", required=True, help="OperatorSet JSON file")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
@@ -159,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="run a protocol replay")
-    common(p)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL.eps, help="absolute tolerance")
     p.add_argument("--protocol", required=True)
     p.add_argument("--json", default=None, help="write the trace here")
     p.set_defaults(func=cmd_simulate)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import u2_strong_upuob
 from .errors import (
     ConfigError,
     EmbeddingError,
@@ -263,26 +264,20 @@ def _certified_qutrit_upb(states: list[StateVector], tol: Tolerance) -> bool:
     )
 
 
-def _protocol_states(op_set: OperatorSet | None, tol: Tolerance):
-    from .catalog import u2_strong_upuob
-
+def _protocol_states(op_set: OperatorSet | None = None):
     if op_set is None:
         op_set = u2_strong_upuob()
     a_states = build_a_states(op_set, 2)
     return regroup_bipartite(a_states)
 
 
-def run_three_ebit_protocol(
-    op_set: OperatorSet | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> ProtocolTrace:
+def run_three_ebit_protocol(tol: Tolerance = DEFAULT_TOL) -> ProtocolTrace:
     """Replay the two-round measurement cascade with a full ebit ledger.
 
     Two ebits pay for teleporting the A-halves; the surviving five hypotheses
     reduce to a certified two-qutrit UPB handled by the one-ebit black box.
     """
-    b_states = _protocol_states(op_set, tol)
-    labels = [s.label for s in b_states]
+    b_states = _protocol_states()
     trace = ProtocolTrace()
     trace.ledger.append("teleport A1 -> B1: +1 ebit")
     trace.ledger.append("teleport A2 -> B2: +1 ebit")
@@ -352,7 +347,7 @@ def genuine_nonlocality_evidence(
 ) -> dict:
     """Checkable facts behind the genuine-nonlocality claim for the two-qubit
     family, emitted as a pass/fail report."""
-    b_states = _protocol_states(op_set, tol)
+    b_states = _protocol_states(op_set)
     n = len(b_states)
     facts = []
 

@@ -83,10 +83,6 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
-
-
 def _stack_vectorized(mats: Sequence[np.ndarray]) -> np.ndarray:
     if len(mats) == 0:
         raise EmptyInputError("need at least one matrix")
@@ -124,11 +120,6 @@ def is_unitary(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return bool(dev <= tol.eps)
 
 
-def standard_basis(rows: int, cols: int) -> list[np.ndarray]:
-    """Row-major list of the matrix units E_pq."""
-    return [e.reshape(rows, cols) for e in np.eye(rows * cols, dtype=complex)]
-
-
 def complement_rows(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal rows spanning the orthogonal complement of the span of
     ``rows``, a 2-D array with one vectorized matrix per row."""
@@ -136,25 +127,6 @@ def complement_rows(rows: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
     # inner products hs_inner(s_j, e), is the complement.
     _, s, vh = np.linalg.svd(rows.conj(), full_matrices=True)
     return vh[sv_rank(s, tol) :].conj()
-
-
-def complement_basis(
-    span: Sequence[np.ndarray],
-    ambient_shape: tuple[int, int],
-    tol: Tolerance = DEFAULT_TOL,
-) -> list[np.ndarray]:
-    """Hilbert-Schmidt orthonormal basis of the orthogonal complement of span.
-
-    The returned count is rows*cols - numeric_rank(span).  With an empty span
-    the standard matrix units are returned.
-    """
-    rows, cols = ambient_shape
-    if len(span) == 0:
-        return standard_basis(rows, cols)
-    for m in span:
-        if as_matrix(m).shape != (rows, cols):
-            raise ShapeError(f"span element shape {np.shape(m)} != {ambient_shape}")
-    return [v.reshape(rows, cols) for v in complement_rows(_stack_vectorized(span), tol)]
 
 
 def nearest_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

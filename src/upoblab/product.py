@@ -20,8 +20,6 @@ from .matrix import (
     MAX_PRODUCT_DIM,
     Tolerance,
     as_matrix,
-    frobenius_norm,
-    hs_inner,
     kron_all,
     matrices_from_json,
     matrix_to_json,
@@ -78,12 +76,6 @@ class ProductOperator:
     def full_matrix(self) -> np.ndarray:
         return kron_all(self.factors)
 
-    def norm(self) -> float:
-        out = 1.0
-        for f in self.factors:
-            out *= frobenius_norm(f)
-        return out
-
     def relabel(self, label: str) -> "ProductOperator":
         return ProductOperator(self.factors, label)
 
@@ -123,10 +115,6 @@ class OperatorSet:
 
     def labels(self) -> list[str]:
         return [m.label for m in self.members]
-
-    def total_dimension(self) -> int:
-        """Product of party row counts (the d of Tr(U^dag U) = d)."""
-        return math.prod(r for r, _ in self.shape)
 
     def to_json(self) -> dict:
         return {
@@ -266,20 +254,6 @@ def check_pairwise_orthogonal(op_set: OperatorSet, tol: Tolerance = DEFAULT_TOL)
     return bool(np.abs(off).max() <= tol.eps)
 
 
-def k_orthonormal(
-    u: ProductOperator,
-    v: ProductOperator,
-    k: int,
-    tol: Tolerance = DEFAULT_TOL,
-) -> bool:
-    """True iff the k-th party factors are Hilbert-Schmidt orthogonal."""
-    if u.party_shape != v.party_shape:
-        raise ShapeError("operators must share a party shape")
-    if not (0 <= k < len(u.factors)):
-        raise IndexError(f"party index {k} out of range for {len(u.factors)} parties")
-    return abs(hs_inner(u.factors[k], v.factors[k])) <= tol.eps
-
-
 def vector_to_matrix(
     v: Sequence[complex], idx: IndexSet, shape: tuple[int, int]
 ) -> np.ndarray:
@@ -297,12 +271,6 @@ def vector_to_matrix(
             raise IndexError(f"position {(p, q)} outside shape {shape}")
         out[p, q] = v[t]
     return out
-
-
-def matrix_to_vector(a: np.ndarray, idx: IndexSet) -> np.ndarray:
-    """Read the indexed positions back; inverse of vector_to_matrix."""
-    a = as_matrix(a)
-    return np.array([a[p, q] for p, q in idx.positions])
 
 
 def upb_to_upob(
@@ -349,21 +317,5 @@ def product_vector_set(
             labels[j],
         )
         for j, vec in enumerate(vectors)
-    )
-    return OperatorSet(shape, members)
-
-
-def vectorize_set(op_set: OperatorSet) -> OperatorSet:
-    """Flatten each party factor row-major into a column vector.
-
-    The result is the product-vector set corresponding to the operator set
-    under |i><j| <-> |i,j|; all Gram entries are preserved exactly.
-    """
-    shape = tuple((r * c, 1) for r, c in op_set.shape)
-    members = tuple(
-        ProductOperator(
-            tuple(f.reshape(-1, 1) for f in m.factors), m.label
-        )
-        for m in op_set.members
     )
     return OperatorSet(shape, members)

@@ -50,6 +50,9 @@ UNKNOWN = "unknown"
 #: memory; a party with more candidate hyperplanes is tracked, not listed.
 _CHUNK = 2048
 
+#: Alternating least-squares sweeps of ``_product_factorization``.
+_ALS_SWEEPS = 40
+
 
 @dataclass
 class ExtendibilityVerdict:
@@ -357,7 +360,7 @@ def verify_witness(
     )
 
 
-def _product_factorization(vec: np.ndarray, shape, iters: int = 40):
+def _product_factorization(vec: np.ndarray, shape):
     """Best product (rank-one across parties) approximation of a vectorized
     operator, by alternating least squares on the party-blocked tensor."""
     dims = [r * c for r, c in shape]
@@ -376,7 +379,7 @@ def _product_factorization(vec: np.ndarray, shape, iters: int = 40):
     if n > 2:
         # Conjugated unit factors, renewed whenever their factor is.
         units = [(f / np.linalg.norm(f)).conj() for f in factors]
-        for _ in range(iters):
+        for _ in range(_ALS_SWEEPS):
             for p in range(n):
                 contraction = t
                 for q in range(n - 1, -1, -1):
@@ -393,6 +396,17 @@ def _product_factorization(vec: np.ndarray, shape, iters: int = 40):
     return factors
 
 
+def _check_heuristic(restarts: int, iters: int, seed: int):
+    """Refuse settings under which the unitary search would run no iteration
+    or could not be seeded."""
+    if restarts < 1 or iters < 1:
+        raise ConfigError(
+            f"restarts and iters must be positive, got {restarts} and {iters}"
+        )
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
 def unitary_witness_search(
     op_set: OperatorSet,
     tol: Tolerance = DEFAULT_TOL,
@@ -402,6 +416,7 @@ def unitary_witness_search(
 ) -> ProductOperator | None:
     """Heuristic alternating-projection hunt for a product unitary in the
     complement of the set's span.  Absence of a result is not a proof."""
+    _check_heuristic(restarts, iters, seed)
     for r, c in op_set.shape:
         if r != c:
             raise ShapeError("product-unitary search needs square parties")
@@ -495,6 +510,7 @@ def classify(
     seed: int = DEFAULT_SEED,
 ) -> Classification:
     """Assemble the UPOB / strongly-UPUOB / UPUOB-evidence verdict."""
+    _check_heuristic(restarts, iters, seed)
     if all(r == c for r, c in op_set.shape):
         orthonormal = check_orthonormal(op_set, tol)
     else:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from upoblab.catalog import (
-    GoldenParams,
+    GOLDEN_PHASE,
+    PHI,
     LiftParams,
     antisym_witness_2x3,
     clock_matrix,
@@ -99,9 +100,10 @@ class TestSizeCap:
 
 class TestGolden:
     def test_phase_modulus_one(self):
-        g = GoldenParams()
-        assert np.isclose(abs(g.phase), 1.0)
-        assert np.isclose(g.phase.real, -7.0 / 8.0)
+        assert np.isclose(abs(GOLDEN_PHASE), 1.0)
+        assert np.isclose(GOLDEN_PHASE.real, -7.0 / 8.0)
+        assert GOLDEN_PHASE.imag > 0
+        assert np.isclose(PHI**2, PHI + 1.0)
 
     def test_states_normalized(self):
         for v in golden_states():

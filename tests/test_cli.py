@@ -181,6 +181,44 @@ class TestVerify:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+class TestHeuristicSettings:
+    """Settings under which the unitary search would run nothing, or could
+    not be seeded, are usage errors, like a non-positive budget."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "-1"), ("--restarts", "0"), ("--restarts", "-3"),
+         ("--iters", "0"), ("--iters", "-1")],
+    )
+    def test_refused_exit_two(self, flag, value, tmp_path, capsys):
+        path = tmp_path / "ex2.json"
+        run(capsys, "export", "--set", "example2", "--out", str(path))
+        rc, out, err = run(capsys, "verify", "--set", str(path), flag, value)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestRemovedOptions:
+    """Options that no command reads are not accepted."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "--name", "u2", "--seed", "5"),
+            ("export", "--set", "u2", "--tol", "1e-6"),
+            ("construct", "--name", "u2", "--tol", "1e-6"),
+            ("export", "--set", "u2", "--seed", "5"),
+            ("simulate", "--protocol", "three-ebit", "--seed", "1"),
+        ],
+        ids=["construct-seed", "export-tol", "construct-tol", "export-seed", "simulate-seed"],
+    )
+    def test_exit_two(self, argv, capsys):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+
+
 class TestSimulate:
     def test_three_ebit(self, tmp_path, capsys):
         path = tmp_path / "trace.json"

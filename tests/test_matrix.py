@@ -16,8 +16,7 @@ from upoblab.matrix import (
     MAX_PRODUCT_DIM,
     Tolerance,
     as_matrix,
-    complement_basis,
-    frobenius_norm,
+    complement_rows,
     hs_inner,
     is_unitary,
     kron,
@@ -27,7 +26,6 @@ from upoblab.matrix import (
     matrix_to_json,
     nearest_unitary,
     numeric_rank,
-    standard_basis,
 )
 
 RNG = np.random.default_rng(0x5EED)
@@ -110,7 +108,7 @@ class TestHsInner:
 
     def test_norm_consistency(self):
         a = random_matrix(4, 2)
-        assert np.isclose(frobenius_norm(a) ** 2, hs_inner(a, a).real)
+        assert np.isclose(np.linalg.norm(a) ** 2, hs_inner(a, a).real)
 
 
 class TestNumericRank:
@@ -146,33 +144,26 @@ class TestIsUnitary:
 
 
 class TestComplementBasis:
-    def test_empty_span_gives_standard_basis(self):
-        comp = complement_basis([], (2, 3))
-        assert len(comp) == 6
-        for e, f in zip(comp, standard_basis(2, 3)):
-            assert np.allclose(e, f)
+    """``complement_rows`` of matrices vectorized row-major, one per row."""
 
     def test_dimension_count(self):
-        span = [random_matrix(2, 2) for _ in range(2)]
-        comp = complement_basis(span, (2, 2))
-        assert len(comp) == 4 - numeric_rank(span)
+        a, b = random_matrix(2, 2), random_matrix(2, 2)
+        span = [a, b, a - 2j * b]
+        comp = complement_rows(np.stack([m.ravel() for m in span]))
+        assert len(comp) == 4 - numeric_rank(span) == 2
 
     def test_orthogonal_to_span(self):
         span = [random_matrix(3, 3) for _ in range(4)]
-        for e in complement_basis(span, (3, 3)):
+        for e in complement_rows(np.stack([m.ravel() for m in span])):
             for s in span:
-                assert abs(hs_inner(s, e)) < 1e-9
+                assert abs(hs_inner(s, e.reshape(3, 3))) < 1e-9
 
     def test_returned_basis_orthonormal(self):
-        span = [random_matrix(2, 2)]
-        comp = complement_basis(span, (2, 2))
+        comp = complement_rows(random_matrix(1, 4))
+        assert comp.shape == (3, 4)
         for i, a in enumerate(comp):
             for j, b in enumerate(comp):
-                assert np.isclose(hs_inner(a, b), float(i == j))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            complement_basis([np.eye(3)], (2, 2))
+                assert np.isclose(np.vdot(a, b), float(i == j))
 
 
 class TestNearestUnitary:

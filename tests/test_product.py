@@ -15,15 +15,12 @@ from upoblab.product import (
     check_orthonormal,
     check_pairwise_orthogonal,
     gram,
-    k_orthonormal,
     kron_rows,
-    matrix_to_vector,
     party_rows,
     product_vector_set,
     row_major_index_set,
     upb_to_upob,
     vector_to_matrix,
-    vectorize_set,
 )
 
 RNG = np.random.default_rng(0xBEEF)
@@ -46,11 +43,6 @@ class TestProductOperator:
         a, b = random_matrix(2, 2), random_matrix(3, 3)
         op = ProductOperator((a, b), "t")
         assert np.allclose(op.full_matrix(), np.kron(a, b))
-
-    def test_norm_multiplies(self):
-        a, b = random_matrix(2, 2), random_matrix(2, 2)
-        op = ProductOperator((a, b))
-        assert np.isclose(op.norm(), np.linalg.norm(np.kron(a, b)))
 
     def test_factors_read_only(self):
         op = ProductOperator((np.eye(2),))
@@ -81,10 +73,6 @@ class TestOperatorSet:
         b = ProductOperator((2 * np.eye(2),), "m")
         with pytest.raises(ShapeError):
             OperatorSet(((2, 2),), (a, b))
-
-    def test_total_dimension(self):
-        s = random_set(2, ((2, 2), (3, 3)))
-        assert s.total_dimension() == 6
 
     def test_json_round_trip(self):
         s = random_set(3)
@@ -282,26 +270,12 @@ class TestOrthonormality:
         assert not check_pairwise_orthogonal(t)
 
 
-class TestKOrthonormal:
-    def test_detects_party(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        u = ProductOperator((np.eye(2), np.eye(2)), "u")
-        v = ProductOperator((x, np.eye(2)), "v")
-        assert k_orthonormal(u, v, 0)
-        assert not k_orthonormal(u, v, 1)
-
-    def test_bad_index(self):
-        u = ProductOperator((np.eye(2),), "u")
-        with pytest.raises(IndexError):
-            k_orthonormal(u, u, 1)
-
-
 class TestVectorMatrixBijection:
     def test_round_trip(self):
         idx = row_major_index_set(2, 2)
         v = RNG.normal(size=4) + 1j * RNG.normal(size=4)
         m = vector_to_matrix(v, idx, (2, 2))
-        assert np.allclose(matrix_to_vector(m, idx), v)
+        assert np.allclose([m[p, q] for p, q in idx.positions], v)
 
     def test_inner_product_preserved(self):
         idx = row_major_index_set(2, 3, 5)
@@ -350,15 +324,7 @@ class TestUpbToUpob:
             upb_to_upob([([1, 0, 0, 0],)], [idx, idx], [(2, 2), (2, 2)])
 
 
-class TestVectorizeSet:
-    def test_gram_preserved(self):
-        s = random_set(4, ((2, 2), (2, 3)))
-        assert np.allclose(gram(vectorize_set(s)), gram(s))
-
-    def test_shapes(self):
-        s = random_set(2, ((2, 3),))
-        assert vectorize_set(s).shape == ((6, 1),)
-
+class TestProductVectorSet:
     def test_empty_vectors_rejected(self):
         with pytest.raises(EmptyInputError):
             product_vector_set([])

@@ -408,6 +408,19 @@ class TestUnitaryWitnessSearch:
         with pytest.raises(ShapeError):
             unitary_witness_search(s)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"restarts": 0}, {"restarts": -3}, {"iters": 0}, {"iters": -1}, {"seed": -1}],
+    )
+    def test_settings_that_run_nothing_refused(self, kwargs):
+        s = drop(u2_strong_upuob(), "U_6")
+        with pytest.raises(ConfigError):
+            unitary_witness_search(s, **kwargs)
+        # classify refuses them before any search, on any set.
+        for op_set in (s, u2_strong_upuob(), product_vector_set([([1, 0], [0, 1])])):
+            with pytest.raises(ConfigError):
+                classify(op_set, **kwargs)
+
 
 def reference_product_factorization(vec, shape, iters=40):
     """The alternating least squares as first written: every factor
@@ -470,7 +483,9 @@ def reference_all_factors_unitary(op_set, tol):
 
 def reference_pairwise_orthogonal(op_set, tol):
     """Gram entries divided by the product of per-member norms."""
-    norms = np.array([m.norm() for m in op_set.members])
+    norms = np.array(
+        [math.prod(np.linalg.norm(f) for f in m.factors) for m in op_set.members]
+    )
     g = gram(op_set) / np.outer(norms, norms)
     return bool(np.abs(g - np.diag(np.diag(g))).max() <= tol.eps)
 
