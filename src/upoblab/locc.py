@@ -187,13 +187,15 @@ def qutrit_embed(states: list[StateVector], tol: Tolerance = DEFAULT_TOL) -> lis
 
 
 def product_sides(state: StateVector, tol: Tolerance = DEFAULT_TOL):
-    """Schmidt factors of a bipartite product state, or None if entangled."""
+    """Schmidt factors of a bipartite product state, or None if entangled:
+    Schmidt rank 1 means the second Schmidt coefficient is at most
+    ``tol.eps`` times the first."""
     if len(state.parties) != 2:
         raise ShapeError("need a bipartite state")
     d_a, d_b = state.parties
     m = state.amplitudes.reshape(d_a, d_b)
     u, s, vh = np.linalg.svd(m)
-    if s.size > 1 and s[1] > 1e-9 * s[0]:
+    if s.size > 1 and s[1] > tol.eps * s[0]:
         return None
     return u[:, 0], vh[0].conj()
 
@@ -249,6 +251,17 @@ def _pairwise_orthogonal(vectors, tol: Tolerance) -> bool:
         abs(np.vdot(a, b)) <= 10.0 * tol.eps
         for a, b in itertools.combinations(units, 2)
     )
+
+
+def _local_disposition(states: list[StateVector], side: int, tol: Tolerance) -> str:
+    """"distinguished-locally" if every state is a product state whose
+    factors on ``side`` are pairwise orthogonal, else "unresolved"."""
+    sides = [product_sides(s, tol) for s in states]
+    if any(sd is None for sd in sides):
+        return "unresolved"
+    if not _pairwise_orthogonal([sd[side] for sd in sides], tol):
+        return "unresolved"
+    return "distinguished-locally"
 
 
 def _certified_qutrit_upb(states: list[StateVector], tol: Tolerance) -> bool:
@@ -307,21 +320,11 @@ def run_three_ebit_protocol(tol: Tolerance = DEFAULT_TOL) -> ProtocolTrace:
 
     click1 = branch(b_states, m1, "Alice")
     nobranch1 = branch(b_states, m1_bar, "Alice")
-    bob_sides = [product_sides(s, tol)[1] for s in click1]
-    trace.terminal_disposition["M_1"] = (
-        "distinguished-locally"
-        if _pairwise_orthogonal(bob_sides, tol)
-        else "unresolved"
-    )
+    trace.terminal_disposition["M_1"] = _local_disposition(click1, 1, tol)
 
     click2 = branch(nobranch1, m2, "Bob")
     nobranch2 = branch(nobranch1, m2_bar, "Bob")
-    alice_sides = [product_sides(s, tol)[0] for s in click2]
-    trace.terminal_disposition["M_2"] = (
-        "distinguished-locally"
-        if _pairwise_orthogonal(alice_sides, tol)
-        else "unresolved"
-    )
+    trace.terminal_disposition["M_2"] = _local_disposition(click2, 0, tol)
 
     # Step 3: the residual hypotheses must reduce to a certified qutrit UPB.
     upb_ok = _certified_qutrit_upb(nobranch2, tol)

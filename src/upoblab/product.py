@@ -55,7 +55,7 @@ class ProductOperator:
         if len(factors) == 0:
             raise ShapeError("a product operator needs at least one factor")
         for f in factors:
-            if np.linalg.norm(f) == 0.0:
+            if not f.any():
                 raise ShapeError(f"zero factor in product operator {self.label!r}")
             f.setflags(write=False)
         object.__setattr__(self, "factors", factors)
@@ -147,8 +147,8 @@ class OperatorSet:
         stacks = []
         for p in range(len(shape)):
             stack = matrices_from_json([factors[p] for factors in factor_lists])
-            # The zero rule of ProductOperator, one norm per factor.
-            zero = np.flatnonzero(np.linalg.norm(stack, axis=(1, 2)) == 0.0)
+            # The zero rule of ProductOperator, for every factor at once.
+            zero = np.flatnonzero(~stack.any(axis=(1, 2)))
             if zero.size:
                 raise ShapeError(
                     f"zero factor in product operator {labels[zero[0]]!r}"
@@ -195,6 +195,18 @@ def party_rows(op_set: OperatorSet, p: int) -> np.ndarray:
     return np.concatenate([m.factors[p] for m in op_set.members]).reshape(-1, r * c)
 
 
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D complex array divided by its norm; no row may be zero.
+
+    A row is first multiplied by the power of two that brings its largest
+    real or imaginary part into [0.5, 1).  That is exact, so rows of ordinary
+    magnitude give the same bits as dividing at once, and entries near 1e300
+    or 1e-170 neither overflow nor underflow when squared."""
+    _, exp = np.frexp(np.abs(rows.view(float)).max(axis=1))
+    rows = np.ldexp(rows.view(float), -exp[:, None]).view(complex)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def kron_rows(op_set: OperatorSet) -> np.ndarray:
     """Row j is member j's full matrix, the Kronecker product of its factors,
     vectorized row-major: ``kron_all`` of every member at once."""
@@ -215,16 +227,21 @@ def kron_rows(op_set: OperatorSet) -> np.ndarray:
     return out.reshape(n, -1)
 
 
-def gram(op_set: OperatorSet) -> np.ndarray:
-    """G(j, k) = hs_inner(U_j, U_k), via the per-party factorization."""
+def _party_gram(op_set: OperatorSet, rows) -> np.ndarray:
+    """The product over parties p of S_p^* S_p^T, where S_p = rows(party_rows(p))."""
     if len(op_set) == 0:
         raise EmptyInputError("gram of an empty set")
     n = len(op_set)
     out = np.ones((n, n), dtype=complex)
     for party in range(op_set.n_parties):
-        stacked = party_rows(op_set, party)
+        stacked = rows(party_rows(op_set, party))
         out *= stacked.conj() @ stacked.T
     return out
+
+
+def gram(op_set: OperatorSet) -> np.ndarray:
+    """G(j, k) = hs_inner(U_j, U_k), via the per-party factorization."""
+    return _party_gram(op_set, lambda rows: rows)
 
 
 def check_orthonormal(op_set: OperatorSet, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -245,11 +262,9 @@ def check_pairwise_orthogonal(op_set: OperatorSet, tol: Tolerance = DEFAULT_TOL)
     The orthogonality notion for sets with non-square parties (e.g. product
     vectors), where the sqrt(d) convention does not apply.
     """
-    g = gram(op_set)
-    # G(j, j) is the product of the squared factor norms, so its root is the
-    # member's norm.
-    norms = np.sqrt(np.diag(g).real)
-    g = g / np.outer(norms, norms)
+    # The Gram matrix of the members with unit factors, which is that of the
+    # unit members, built without squaring the entries as authored.
+    g = _party_gram(op_set, unit_rows)
     off = g - np.diag(np.diag(g))
     return bool(np.abs(off).max() <= tol.eps)
 

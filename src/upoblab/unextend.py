@@ -35,6 +35,7 @@ from .product import (
     check_pairwise_orthogonal,
     kron_rows,
     party_rows,
+    unit_rows,
 )
 
 DEFAULT_BUDGET = 50_000_000
@@ -108,8 +109,7 @@ def _direction_table(op_set: OperatorSet):
     rounded."""
     table = []
     for p in range(op_set.n_parties):
-        vecs = party_rows(op_set, p)
-        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        vecs = unit_rows(party_rows(op_set, p))
         pivots = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
         # Adding 0.0 folds -0.0 into 0.0 so equal keys have equal bytes.
         keys = np.round(vecs * (np.abs(pivots) / pivots)[:, None], 10) + 0.0
@@ -129,18 +129,15 @@ def _greedy_member_order(table) -> list[int]:
 
 def _hyperplanes(dirs: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The distinct hyperplanes spanned by D-1 independent rows of ``dirs``,
-    in order of first appearance, as a boolean array: row h flags the rows of
-    ``dirs`` that hyperplane h contains."""
+    unit rows, in order of first appearance, as a boolean array: row h flags
+    the rows of ``dirs`` that hyperplane h contains."""
     k, dim = dirs.shape
     if dim == 1:
         return np.zeros((1, k), dtype=bool)
-    subsets = itertools.combinations(range(k), dim - 1)
-    blocks = []
-    while chunk := list(itertools.islice(subsets, _CHUNK)):
-        idx = np.array(chunk)
-        _, s, vh = np.linalg.svd(dirs[idx])
-        keep = s[:, -1] > tol.eps * s[:, 0]
-        inside = np.abs(vh[keep, -1].conj() @ dirs.T) <= tol.eps
+    blocks = [np.zeros((0, k), dtype=bool)]
+    for idx in _subset_chunks(k, dim - 1):
+        keep, normals = _subset_normals(dirs, idx, tol)
+        inside = np.abs(normals[keep].conj() @ dirs.T) <= tol.eps
         # A nearly dependent subset gives an inexact normal; its own rows
         # still lie in the hyperplane they span.
         np.put_along_axis(inside, idx[keep], True, axis=1)
@@ -149,6 +146,113 @@ def _hyperplanes(dirs: np.ndarray, tol: Tolerance) -> np.ndarray:
     # One bytes key per row; return_index gives each key's first row.
     _, first = np.unique(inside.view(np.dtype((np.void, k))).ravel(), return_index=True)
     return inside[np.sort(first)]
+
+
+def _subset_chunks(k: int, size: int):
+    """The size-subsets of range(k) in lexicographic order, as index arrays
+    of at most ``_CHUNK`` rows.  A listing of one chunk is cached."""
+    if math.comb(k, size) <= _CHUNK:
+        return (_subset_array(k, size),)
+    subsets = itertools.combinations(range(k), size)
+    return map(np.array, iter(lambda: list(itertools.islice(subsets, _CHUNK)), []))
+
+
+@functools.lru_cache(maxsize=64)
+def _subset_array(k: int, size: int) -> np.ndarray:
+    idx = np.array(list(itertools.combinations(range(k), size)), dtype=np.intp)
+    idx = idx.reshape(-1, size)
+    idx.setflags(write=False)
+    return idx
+
+
+#: The batches of subsets that go to ``_gram_schmidt``: at least
+#: ``_GS_MIN_BATCH`` subsets of a party with at most ``_GS_MAX_DIM``
+#: dimensions.  LAPACK is faster on the others (see ``_subset_normals``).
+_GS_MIN_BATCH = 24
+_GS_MAX_DIM = 9
+
+#: Absolute allowance for rounding, far above the errors of Gram-Schmidt
+#: pivots and of LAPACK's singular values on a few unit rows.
+_ROUND = 2.0**-40
+
+
+def _subset_normals(dirs: np.ndarray, idx: np.ndarray, tol: Tolerance):
+    """For each subset ``dirs[idx[i]]`` of k = D-1 unit rows: whether
+    ``sv_rank`` gives it full rank, s_min > eps * s_max, and the unit normal
+    of the hyperplane it spans, defined where it does.
+
+    Gram-Schmidt pivots r_i decide most subsets with certainty.  Unit rows
+    give 1 <= s_max**2 <= g, the largest row sum of |Gram| (at most k).  As
+    prod r_i = prod s_i and s_min <= min r_i, both s_min and s_min / s_max
+    are at least prod r_i / g**(k/2).  "Drop" is certain when
+    min r_i <= eps/2, "keep" when prod r_i > eps * g**(k/2); each bound
+    leaves ``_ROUND`` for rounding.  A kept normal is used only if s_min is
+    large enough for its error, about 2**-53 / s_min, to stay below
+    eps / 1024.  Every other subset goes to the batched SVD, whose decision
+    is the rule itself.
+
+    Smaller batches and larger parties go to the SVD whole.  With one BLAS
+    thread on a 2-core x86-64 host (numpy 2.4), the kernel costs 0.1-0.5 ms
+    for up to 48 subsets and D <= 9, and breaks even with LAPACK at about 24
+    subsets.  From D = 10 the bounds above send many generic subsets on to
+    the SVD, and the kernel loses at every batch size measured.
+    """
+    if len(idx) < _GS_MIN_BATCH or dirs.shape[1] > _GS_MAX_DIM:
+        return _svd_normals(dirs[idx], tol)
+    r, normals = _gram_schmidt(dirs, idx)
+    k = idx.shape[1]
+    overlaps = np.abs(dirs.conj() @ dirs.T)
+    g = overlaps[idx[:, :, None], idx[:, None, :]].sum(axis=2).max(axis=1)
+    floor = max(tol.eps + _ROUND, 2.0**-43 / tol.eps)
+    keep = r.prod(axis=0) > g ** (k / 2) * floor + _ROUND
+    drop = r.min(axis=0) + _ROUND <= tol.eps / 2
+    unsure = np.flatnonzero(~(keep | drop))
+    if unsure.size:
+        keep[unsure], normals[unsure] = _svd_normals(dirs[idx[unsure]], tol)
+    return keep, normals
+
+
+def _svd_normals(subsets: np.ndarray, tol: Tolerance):
+    """``_subset_normals`` by one batched SVD of the stacked subsets."""
+    _, s, vh = np.linalg.svd(subsets)
+    return s[:, -1] > tol.eps * s[:, 0], vh[:, -1]
+
+
+def _gram_schmidt(dirs: np.ndarray, idx: np.ndarray):
+    """Classical Gram-Schmidt, projecting twice, on the rows of every subset
+    ``dirs[idx[i]]`` at once, with the subset axis innermost.  Returns the
+    pivots r, shape (D-1, len(idx)), and per subset a unit vector orthogonal
+    to the basis: the residual of the standard basis vector with the largest
+    residual, projected once more.  A pivot is the norm of a row's residual,
+    so prod r_i is the volume the rows span."""
+    m, k = idx.shape
+    cols = dirs.T
+    q = np.zeros((k, cols.shape[0], m), dtype=complex)
+    qc = np.zeros_like(q)
+    r = np.empty((k, m))
+
+    def project(w, i):
+        return w - np.einsum("jm,jdm->dm", np.einsum("jdm,dm->jm", qc[:i], w), q[:i])
+
+    for i in range(k):
+        w = cols[:, idx[:, i]]
+        if i:
+            w = project(project(w, i), i)
+        r[i] = np.sqrt(np.einsum("dm,dm->m", w.conj(), w).real)
+        # A row with a pivot below 2**-30 adds nothing to the basis: its
+        # subset is dropped or sent to the SVD, and the later rows of its
+        # subset stay finite.
+        np.divide(w, r[i], out=q[i], where=r[i] > 2.0**-30)
+        np.conjugate(q[i], out=qc[i])
+    # The residual of e_c has squared norm 1 - sum_j |q_j[c]|^2, and these
+    # sum to at least 1 over the D choices of c, so the largest is >= 1/D.
+    c = np.einsum("jdm,jdm->dm", qc, q).real.argmin(axis=0)
+    at = np.arange(m)
+    w = -np.einsum("jm,jdm->dm", qc[:, c, at], q)
+    w[c, at] += 1.0
+    w = project(w, k)
+    w /= np.sqrt(np.einsum("dm,dm->m", w.conj(), w).real)
+    return r, w.T
 
 
 def extendibility_search(
@@ -488,8 +592,7 @@ def _all_factors_unitary(op_set: OperatorSet, tol: Tolerance) -> bool:
         return False
     n = len(op_set)
     for p, (d, _) in enumerate(op_set.shape):
-        a = party_rows(op_set, p)
-        a = (a * (np.sqrt(d) / np.linalg.norm(a, axis=1))[:, None]).reshape(n, d, d)
+        a = (unit_rows(party_rows(op_set, p)) * np.sqrt(d)).reshape(n, d, d)
         dev = np.abs(a.conj().transpose(0, 2, 1) @ a - np.eye(d))
         if dev.max(initial=0.0) > 10 * tol.eps:
             return False

@@ -1,7 +1,9 @@
 """Tests for the command-line interface, run in process."""
 
+import copy
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +183,46 @@ class TestVerify:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+class TestVerifyMagnitudes:
+    # Extendibility is unchanged by scaling a factor, so a set whose entries
+    # square to overflow or underflow gets the verdict of its rescaled form.
+
+    @staticmethod
+    def verify(obj, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, "verify", "--set", str(path))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert rc in (0, 1), err
+        result = json.loads(out)["result"]
+        return rc, result["upob"]["status"], result["upob"]["nodes_explored"], result[
+            "verdict_labels"
+        ]
+
+    @staticmethod
+    def scaled_factor(obj, scale):
+        obj = copy.deepcopy(obj)
+        factor = obj["members"][0]["factors"][0]
+        factor["entries"] = [[re * scale, im * scale] for re, im in factor["entries"]]
+        return obj
+
+    def test_entry_near_1e300(self, tmp_path, capsys):
+        big = construct_by_name("u2").to_json()
+        big["members"][0]["factors"][0]["entries"][0] = [1e300, 0.0]
+        got = self.verify(big, tmp_path, capsys, "big")
+        want = self.verify(self.scaled_factor(big, 1e-300), tmp_path, capsys, "rescaled")
+        assert got == want
+
+    def test_entries_near_1e_170(self, tmp_path, capsys):
+        u2 = construct_by_name("u2").to_json()
+        got = self.verify(self.scaled_factor(u2, 1e-170), tmp_path, capsys, "tiny")
+        want = self.verify(u2, tmp_path, capsys, "u2")
+        assert got == want
+        assert want[1] == "unextendible"
+
+
 class TestHeuristicSettings:
     """Settings under which the unitary search would run nothing, or could
     not be seeded, are usage errors, like a non-positive budget."""
@@ -232,6 +274,13 @@ class TestSimulate:
         rc, out, _ = run(capsys, "simulate", "--protocol", "nonlocality-evidence")
         assert rc == 0
         assert json.loads(out)["result"]["all_passed"]
+
+    def test_tolerance_below_rounding_exit_two(self, capsys):
+        # At eps = 1e-20 no replayed state is a product state, nor embeds in
+        # C^3 x C^3 exactly enough: a refusal, not a crash.
+        rc, _, err = run(capsys, "simulate", "--protocol", "three-ebit", "--tol", "1e-20")
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_unknown_protocol_exit_two(self, capsys):
         rc, _, err = run(capsys, "simulate", "--protocol", "bogus")

@@ -24,6 +24,7 @@ from upoblab.locc import (
     run_three_ebit_protocol,
     triple_independence_check,
 )
+from upoblab.matrix import Tolerance
 from upoblab.product import OperatorSet, ProductOperator
 
 
@@ -109,6 +110,15 @@ class TestRegroup:
     def test_all_product_across_cut(self):
         for s in regroup_bipartite(build_a_states(u2_strong_upuob(), 2)):
             assert product_sides(s) is not None
+
+    def test_product_test_follows_the_tolerance(self):
+        # Schmidt coefficients 1 and 1e-7.
+        amps = np.zeros(4, dtype=complex)
+        amps[0], amps[3] = 1.0, 1e-7
+        s = StateVector(amps / np.linalg.norm(amps), (2, 2), "s")
+        assert product_sides(s, Tolerance(1e-3)) is not None
+        assert product_sides(s, Tolerance(1e-12)) is None
+        assert product_sides(s) is None
 
     def test_needs_four_subsystems(self):
         with pytest.raises(ShapeError):

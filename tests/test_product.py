@@ -19,6 +19,7 @@ from upoblab.product import (
     party_rows,
     product_vector_set,
     row_major_index_set,
+    unit_rows,
     upb_to_upob,
     vector_to_matrix,
 )
@@ -56,6 +57,10 @@ class TestProductOperator:
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
             ProductOperator(())
+
+    def test_accepts_factor_whose_squares_underflow(self):
+        op = ProductOperator((np.full((2, 2), 1e-170),))
+        assert op.factors[0][0, 0] == 1e-170
 
     def test_relabel(self):
         op = ProductOperator((np.eye(2),), "a")
@@ -165,6 +170,12 @@ class TestStackedFromJson:
         with pytest.raises(ShapeError):
             from_json_per_factor(obj)
 
+    def test_accepts_factor_whose_squares_underflow(self):
+        obj, m = self.two_members()
+        m["factors"][1]["entries"] = [[1e-170, 0.0], [0.0, -1e-170], [0.0, 0.0]]
+        s = OperatorSet.from_json(obj)
+        assert s.members[1].factors[1][0, 0] == 1e-170
+
     @pytest.mark.parametrize(
         "defect", ["factor-count", "no-factors", "other-shape", "nan", "duplicate-label"]
     )
@@ -217,6 +228,22 @@ class TestPartyStacks:
             kron_rows(s)
 
 
+class TestUnitRows:
+    def test_ordinary_rows_match_plain_division_bitwise(self):
+        rows = np.stack([random_matrix(1, 9).ravel() * scale for scale in (1e-3, 1, 7e4)])
+        want = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        assert np.array_equal(unit_rows(rows), want)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-170, 1e-300])
+    def test_extreme_magnitudes(self, scale):
+        rows = np.stack([random_matrix(1, 4).ravel(), random_matrix(1, 4).ravel()])
+        want = unit_rows(rows)
+        rows[0] *= scale
+        with np.errstate(all="raise"):
+            got = unit_rows(rows)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestGram:
     def test_matches_full_matrix_oracle(self):
         s = random_set(4)
@@ -257,6 +284,16 @@ class TestOrthonormality:
 
     def test_random_set_fails(self):
         assert not check_orthonormal(random_set(3))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-170])
+    def test_extreme_magnitudes(self, scale):
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        members = (
+            ProductOperator((scale * np.eye(2), x), "a"),
+            ProductOperator((x, np.eye(2)), "b"),
+        )
+        with np.errstate(all="raise"):
+            assert check_orthonormal(OperatorSet(((2, 2), (2, 2)), members))
 
     def test_nonsquare_raises(self):
         s = product_vector_set([([1, 0], [0, 1])])

@@ -363,6 +363,146 @@ class TestNearlyParallelDirections:
         assert verify_witness(v.witness, s)
 
 
+def reference_hyperplanes(dirs, tol=Tolerance()):
+    """The listing by one batched SVD per chunk of direction subsets: the
+    ``sv_rank`` rule on every subset, and LAPACK's normal for every kept one."""
+    k, dim = dirs.shape
+    if dim == 1:
+        return np.zeros((1, k), dtype=bool)
+    subsets = itertools.combinations(range(k), dim - 1)
+    blocks = [np.zeros((0, k), dtype=bool)]
+    while chunk := list(itertools.islice(subsets, unextend._CHUNK)):
+        idx = np.array(chunk)
+        _, s, vh = np.linalg.svd(dirs[idx])
+        keep = s[:, -1] > tol.eps * s[:, 0]
+        inside = np.abs(vh[keep, -1].conj() @ dirs.T) <= tol.eps
+        np.put_along_axis(inside, idx[keep], True, axis=1)
+        blocks.append(inside)
+    inside = np.concatenate(blocks)
+    _, first = np.unique(inside.view(np.dtype((np.void, k))).ravel(), return_index=True)
+    return inside[np.sort(first)]
+
+
+def unit_rows_of(vecs):
+    vecs = np.asarray(vecs, dtype=complex)
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def pauli_directions():
+    """I, X, Y, Z and their pairwise sums and differences, vectorized: many
+    direction triples are exactly dependent."""
+    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+    paulis = [np.asarray(m, dtype=complex).ravel() for m in paulis]
+    pairs = [a + sign * b for a, b in itertools.combinations(paulis, 2) for sign in (1, -1)]
+    return unit_rows_of(paulis + pairs)
+
+
+class TestHyperplaneKernel:
+    """``_hyperplanes`` against the SVD listing, bit for bit, with the
+    Gram-Schmidt kernel on its default batches and on every batch."""
+
+    @pytest.fixture(params=["default-batches", "every-batch"])
+    def kernel_everywhere(self, request, monkeypatch):
+        if request.param == "every-batch":
+            monkeypatch.setattr(unextend, "_GS_MIN_BATCH", 1)
+
+    @staticmethod
+    def svd_calls(monkeypatch):
+        """Record the subset stacks each np.linalg.svd call receives."""
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    def assert_matches(self, dirs, tol=Tolerance()):
+        got, want = unextend._hyperplanes(dirs, tol), reference_hyperplanes(dirs, tol)
+        assert got.dtype == bool and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_seeded_generic_parties(self, dim, kernel_everywhere):
+        rng = np.random.default_rng(0x6E5 + dim)
+        for n in range(dim - 1, 14):
+            dirs = unit_rows_of(rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim)))
+            for eps in (1e-9, 1e-6):
+                self.assert_matches(dirs, Tolerance(eps))
+
+    def test_exactly_dependent_directions(self, kernel_everywhere):
+        self.assert_matches(pauli_directions())
+        for dirs, _ in unextend._direction_table(nqubit_strong_upuob(4)):
+            self.assert_matches(dirs)
+
+    def test_nearly_parallel_directions(self, kernel_everywhere):
+        # The directions of TestNearlyParallelDirections: u2 = u1 + 1e-8 v.
+        rng = np.random.default_rng(5)
+        u = unit_rows_of(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
+        u[1] = u[0] + 1e-8 * u[4]
+        self.assert_matches(unit_rows_of(u))
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 5e-9, 3e-9, 2e-9, 1e-9, 5e-10, 1e-11])
+    def test_near_dependence_at_every_scale(self, delta, kernel_everywhere):
+        rng = np.random.default_rng(0xDE1)
+        dirs = unit_rows_of(rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4)))
+        dirs[1] = dirs[0] + delta * dirs[5]
+        dirs[3] = dirs[2] + dirs[4] + delta * dirs[6]
+        self.assert_matches(unit_rows_of(dirs))
+
+    def test_pivots_and_normals(self):
+        # On subsets far from dependent, the pivots are LAPACK's |diag R| and
+        # each normal is a unit vector orthogonal to its subset's rows.
+        rng = np.random.default_rng(0xACC)
+        dirs = unit_rows_of(rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4)))
+        dirs[1] = dirs[0] + 1e-3 * dirs[8]
+        dirs = unit_rows_of(dirs[:8])
+        idx = np.array(list(itertools.combinations(range(8), 3)))
+        r, normals = unextend._gram_schmidt(dirs, idx)
+        qr = np.stack([np.abs(np.diag(np.linalg.qr(dirs[i].T)[1])) for i in idx], axis=1)
+        assert np.abs(r - qr).max() < 1e-12
+        assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, rtol=0, atol=1e-15)
+        overlaps = np.abs(np.einsum("md,mkd->mk", normals.conj(), dirs[idx]))
+        assert overlaps.max() < 1e-15
+
+    def test_generic_batch_needs_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(0x6E0)
+        dirs = unit_rows_of(rng.normal(size=(13, 4)) + 1j * rng.normal(size=(13, 4)))
+        calls = self.svd_calls(monkeypatch)
+        unextend._hyperplanes(dirs, Tolerance())
+        assert calls == []
+
+    def test_ambiguous_subsets_reach_the_svd(self, monkeypatch):
+        # Rows 0 and 1 differ by 1e-6: the 10 triples holding both have a
+        # pivot near 1e-6, too small to keep and too large to drop.
+        rng = np.random.default_rng(0x6E0)
+        dirs = unit_rows_of(rng.normal(size=(13, 4)) + 1j * rng.normal(size=(13, 4)))
+        dirs[1] = dirs[0] + 1e-6 * dirs[12]
+        dirs = unit_rows_of(dirs[:12])
+        calls = self.svd_calls(monkeypatch)
+        got = unextend._hyperplanes(dirs, Tolerance())
+        assert [len(c) for c in calls] == [10]
+        want = [dirs[[0, 1, x]] for x in range(2, 12)]
+        assert all(np.array_equal(a, b) for a, b in zip(calls[0], want))
+        monkeypatch.undo()
+        assert np.array_equal(got, reference_hyperplanes(dirs))
+
+    def test_batches_of_one(self, kernel_everywhere, monkeypatch):
+        monkeypatch.setattr(unextend, "_CHUNK", 1)
+        rng = np.random.default_rng(0xB1)
+        dirs = unit_rows_of(rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4)))
+        self.assert_matches(dirs)
+        self.assert_matches(pauli_directions()[:8])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_directions_than_a_hyperplane_needs(self, n):
+        dirs = unit_rows_of(np.eye(4)[:n])
+        got = unextend._hyperplanes(dirs, Tolerance())
+        assert got.shape == (0, n) and got.dtype == bool
+
+
 class TestWitness:
     def test_extract_witness_orthogonal(self):
         s = drop(u2_strong_upuob(), "U_5")
