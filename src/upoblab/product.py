@@ -227,21 +227,16 @@ def kron_rows(op_set: OperatorSet) -> np.ndarray:
     return out.reshape(n, -1)
 
 
-def _party_gram(op_set: OperatorSet, rows) -> np.ndarray:
-    """The product over parties p of S_p^* S_p^T, where S_p = rows(party_rows(p))."""
+def gram(op_set: OperatorSet) -> np.ndarray:
+    """G(j, k) = hs_inner(U_j, U_k), via the per-party factorization."""
     if len(op_set) == 0:
         raise EmptyInputError("gram of an empty set")
     n = len(op_set)
     out = np.ones((n, n), dtype=complex)
     for party in range(op_set.n_parties):
-        stacked = rows(party_rows(op_set, party))
+        stacked = party_rows(op_set, party)
         out *= stacked.conj() @ stacked.T
     return out
-
-
-def gram(op_set: OperatorSet) -> np.ndarray:
-    """G(j, k) = hs_inner(U_j, U_k), via the per-party factorization."""
-    return _party_gram(op_set, lambda rows: rows)
 
 
 def check_orthonormal(op_set: OperatorSet, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -262,9 +257,14 @@ def check_pairwise_orthogonal(op_set: OperatorSet, tol: Tolerance = DEFAULT_TOL)
     The orthogonality notion for sets with non-square parties (e.g. product
     vectors), where the sqrt(d) convention does not apply.
     """
+    if len(op_set) == 0:
+        raise EmptyInputError("gram of an empty set")
     # The Gram matrix of the members with unit factors, which is that of the
     # unit members, built without squaring the entries as authored.
-    g = _party_gram(op_set, unit_rows)
+    g = np.ones((len(op_set),) * 2, dtype=complex)
+    for party in range(op_set.n_parties):
+        stacked = unit_rows(party_rows(op_set, party))
+        g *= stacked.conj() @ stacked.T
     off = g - np.diag(np.diag(g))
     return bool(np.abs(off).max() <= tol.eps)
 

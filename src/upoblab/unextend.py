@@ -165,11 +165,10 @@ def _subset_array(k: int, size: int) -> np.ndarray:
     return idx
 
 
-#: The batches of subsets that go to ``_gram_schmidt``: at least
-#: ``_GS_MIN_BATCH`` subsets of a party with at most ``_GS_MAX_DIM``
-#: dimensions.  LAPACK is faster on the others (see ``_subset_normals``).
+#: The batches of at least ``_GS_MIN_BATCH`` subsets go to
+#: ``_gram_schmidt``.  LAPACK is faster on smaller ones (see
+#: ``_subset_normals``).
 _GS_MIN_BATCH = 24
-_GS_MAX_DIM = 9
 
 #: Absolute allowance for rounding, far above the errors of Gram-Schmidt
 #: pivots and of LAPACK's singular values on a few unit rows.
@@ -191,13 +190,11 @@ def _subset_normals(dirs: np.ndarray, idx: np.ndarray, tol: Tolerance):
     eps / 1024.  Every other subset goes to the batched SVD, whose decision
     is the rule itself.
 
-    Smaller batches and larger parties go to the SVD whole.  With one BLAS
-    thread on a 2-core x86-64 host (numpy 2.4), the kernel costs 0.1-0.5 ms
-    for up to 48 subsets and D <= 9, and breaks even with LAPACK at about 24
-    subsets.  From D = 10 the bounds above send many generic subsets on to
-    the SVD, and the kernel loses at every batch size measured.
+    Smaller batches go to the SVD whole.  With one BLAS thread on a 2-core
+    x86-64 host (numpy 2.4), the kernel costs 0.1-0.5 ms for up to 48
+    subsets and D <= 9, and breaks even with LAPACK at about 24 subsets.
     """
-    if len(idx) < _GS_MIN_BATCH or dirs.shape[1] > _GS_MAX_DIM:
+    if len(idx) < _GS_MIN_BATCH:
         return _svd_normals(dirs[idx], tol)
     r, normals = _gram_schmidt(dirs, idx)
     k = idx.shape[1]

@@ -424,7 +424,7 @@ class TestHyperplaneKernel:
         assert got.dtype == bool and got.shape == want.shape
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("dim", [3, 4, 10])
     def test_seeded_generic_parties(self, dim, kernel_everywhere):
         rng = np.random.default_rng(0x6E5 + dim)
         for n in range(dim - 1, 14):
